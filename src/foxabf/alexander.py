@@ -42,7 +42,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .braid import BraidWord, burau, wheel_braid
+from .braid import BraidWord, reduced_relation_matrix, wheel_braid
 from .ring import (
     InexactDivisionError,
     LaurentPoly,
@@ -77,21 +77,13 @@ class ModulePresentation:
 def reduced_abf_matrix(word: BraidWord, drop_index: int | None = None) -> Matrix:
     """burau(word) - Id with row/column ``drop_index`` (1-based, default
     the last strand) deleted."""
-    drop = word.strands if drop_index is None else drop_index
-    if not (1 <= drop <= word.strands):
-        raise ValueError(f"drop_index {drop} out of range for {word.strands} strands")
-    m = burau(word) - Matrix.identity(word.strands, one=_ONE)
-    return m.delete_row_col(drop - 1, drop - 1)
+    return reduced_relation_matrix(word, drop_index)
 
 
 def alexander_polynomial(word: BraidWord) -> LaurentPoly:
     """Normalized generator of the maximal-minor ideal of the reduced
     presentation; 1 for the unknot, 0 when the determinant vanishes."""
-    det = reduced_abf_matrix(word).det()
-    det = LaurentPoly.const(det) if isinstance(det, int) else det
-    if det.is_zero:
-        return LaurentPoly.zero()
-    return normalize_unit(det)
+    return general_presentation(word).alexander
 
 
 def general_presentation(word: BraidWord, drop_index: int | None = None) -> ModulePresentation:

@@ -3,9 +3,10 @@ representation.
 
 A word on s strands is a sequence of nonzero integers i with |i| < s:
 positive i is the generator sigma_i, negative its inverse.  The text
-grammar is whitespace- or comma-separated integers ("1 -2 1 -2"); a JSON
-object {"strands": s, "letters": [...]} is accepted as an equivalent wire
-form.  When the strand count is omitted it is inferred as max|i| + 1.
+grammar is whitespace- or comma-separated ASCII integers ("1 -2 1 -2"); a
+JSON object {"strands": s, "letters": [...]} with int letters and no other
+keys is accepted as an equivalent wire form.  When the strand count is
+omitted it is inferred as max|i| + 1; counts above MAX_STRANDS are refused.
 
 Sign convention for Burau: a positive crossing acts on the strand pair as
 (a, b) -> (b, t*a + (1-t)*b), i.e. the generator block is [[0, 1], [t, 1-t]]
@@ -25,6 +26,13 @@ import re
 from dataclasses import dataclass
 
 from .ring import LaurentPoly, Matrix
+
+# Largest strand count parse_braid accepts: Burau matrices are s x s, and
+# the reduced presentations are reduced by determinant and Smith normal
+# form, so far larger counts could neither be stored nor finished.
+MAX_STRANDS = 256
+
+_LETTER = re.compile(r"[+-]?[0-9]+")
 
 
 class BraidParseError(ValueError):
@@ -73,23 +81,30 @@ class BraidWord:
 
 def parse_braid(text: str, strands: int | None = None) -> BraidWord:
     """Parse braid text (or the JSON object form) into a BraidWord."""
-    if strands is not None and (not isinstance(strands, int) or strands < 1):
-        raise BraidParseError("strand count must be a positive integer")
     stripped = text.strip()
     if stripped.startswith("{"):
-        return _parse_json_braid(stripped, strands)
-    letters = []
-    tokens = [tok for tok in re.split(r"[\s,]+", stripped) if tok]
-    for pos, token in enumerate(tokens, start=1):
-        try:
-            value = int(token, 10)
-        except ValueError:
-            raise BraidParseError(
-                f"invalid braid letter {token!r} at token {pos}", position=pos
-            ) from None
+        letters, strands = _parse_json_braid(stripped, strands)
+    else:
+        letters = []
+        tokens = [tok for tok in re.split(r"[\s,]+", stripped) if tok]
+        for pos, token in enumerate(tokens, start=1):
+            try:
+                if not _LETTER.fullmatch(token):
+                    raise ValueError(token)
+                letters.append(int(token, 10))
+            except ValueError:  # not ASCII digits, or more than int() converts
+                raise BraidParseError(
+                    f"invalid braid letter {token!r} at token {pos}", position=pos
+                ) from None
+    return _checked_word(letters, strands)
+
+
+def _checked_word(letters: list[int], strands: int | None) -> BraidWord:
+    if strands is not None and (type(strands) is not int or strands < 1):
+        raise BraidParseError("strand count must be a positive integer")
+    for pos, value in enumerate(letters, start=1):
         if value == 0:
             raise BraidParseError(f"braid letter 0 at token {pos}", position=pos)
-        letters.append(value)
     inferred = max((abs(l) for l in letters), default=0) + 1
     if strands is None:
         if not letters:
@@ -104,24 +119,38 @@ def parse_braid(text: str, strands: int | None = None) -> BraidWord:
             f"{strands} strands",
             position=bad + 1,
         )
+    if strands > MAX_STRANDS:
+        raise BraidParseError(f"{strands} strands exceed the limit of {MAX_STRANDS}")
     return BraidWord(strands, tuple(letters))
 
 
-def _parse_json_braid(text: str, strands: int | None) -> BraidWord:
+def _parse_json_braid(text: str, strands: int | None) -> tuple[list[int], int | None]:
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
         raise BraidParseError(f"invalid JSON braid: {exc}") from None
     if not isinstance(obj, dict) or not isinstance(obj.get("letters"), list):
         raise BraidParseError('JSON braid must look like {"strands": s, "letters": [...]}')
-    own = obj.get("strands")
-    if own is not None and strands is not None and own != strands:
+    unknown = sorted(set(obj) - {"strands", "letters"})
+    if unknown:
+        raise BraidParseError(f"unknown JSON braid keys: {', '.join(map(repr, unknown))}")
+    letters = obj["letters"]
+    for pos, value in enumerate(letters, start=1):
+        if type(value) is not int:  # bools and floats are not letters
+            raise BraidParseError(
+                f"JSON braid letter {value!r} at token {pos} is not an integer",
+                position=pos,
+            )
+    if "strands" not in obj:
+        return letters, strands
+    own = obj["strands"]
+    if type(own) is not int or own < 1:
+        raise BraidParseError(f"JSON strand count {own!r} is not a positive integer")
+    if strands is not None and own != strands:
         raise BraidParseError(
             f"JSON strand count {own} conflicts with the explicit value {strands}"
         )
-    letters = obj["letters"]
-    body = " ".join(str(l) for l in letters) if letters else ""
-    return parse_braid(body, strands=own if own is not None else strands)
+    return letters, own
 
 
 def wheel_braid(n: int) -> BraidWord:
@@ -136,48 +165,60 @@ def wheel_braid(n: int) -> BraidWord:
 # Burau representation
 # ---------------------------------------------------------------------------
 
-_T = LaurentPoly.t()
-_T_INV = LaurentPoly.t(-1)
-_ONE = LaurentPoly.one()
-_ZERO = LaurentPoly.zero()
-
-# 2x2 crossing blocks over Z[t^(+/-1)] and their t = -1 specializations
-_POS_BLOCK = ((_ZERO, _ONE), (_T, _ONE - _T))
-_NEG_BLOCK = ((_ONE - _T_INV, _T_INV), (_ONE, _ZERO))
-_POS_BLOCK_INT = ((0, 1), (-1, 2))
-_NEG_BLOCK_INT = ((2, -1), (1, 0))
+# Ring constants (one, t, t^-1) over Z[t^(+/-1)] and at t = -1
+_LAURENT = (LaurentPoly.one(), LaurentPoly.t(), LaurentPoly.t(-1))
+_AT_MINUS_ONE = (1, -1, -1)
 
 
-def _letter_matrix(letter: int, strands: int, pos_block, neg_block, one, zero) -> Matrix:
-    i = abs(letter) - 1
-    block = pos_block if letter > 0 else neg_block
-    rows = []
-    for r in range(strands):
-        row = [zero] * strands
-        if r in (i, i + 1):
-            row[i] = block[r - i][0]
-            row[i + 1] = block[r - i][1]
-        else:
-            row[r] = one
-        rows.append(row)
+def _burau_product(word: BraidWord, ring) -> Matrix:
+    """Product of the letter matrices in word order over the given ring.
+
+    Multiplying on the right by a letter matrix changes only columns i and
+    i+1, so each letter updates those two columns of every row in place:
+    O(strands) ring operations per letter instead of a full matrix product.
+    """
+    one, t, t_inv = ring
+    one_minus_t, one_minus_t_inv = one - t, one - t_inv
+    zero = one * 0
+    rows = [[one if r == c else zero for c in range(word.strands)] for r in range(word.strands)]
+    for letter in word.letters:
+        i = abs(letter) - 1
+        j = i + 1
+        if letter > 0:  # columns (a, b) -> (t*b, a + (1-t)*b)
+            for row in rows:
+                a, b = row[i], row[j]
+                row[i] = t * b
+                row[j] = a + one_minus_t * b
+        else:  # columns (a, b) -> ((1-t^-1)*a + b, t^-1*a)
+            for row in rows:
+                a, b = row[i], row[j]
+                row[i] = one_minus_t_inv * a + b
+                row[j] = t_inv * a
     return Matrix(rows)
 
 
 def burau(word: BraidWord) -> Matrix:
     """Unreduced Burau matrix of the word: the product of its letter
     matrices in word order (the identity braid gives Id)."""
-    result = Matrix.identity(word.strands, one=_ONE)
-    for letter in word.letters:
-        result = result * _letter_matrix(letter, word.strands, _POS_BLOCK, _NEG_BLOCK, _ONE, _ZERO)
-    return result
+    return _burau_product(word, _LAURENT)
 
 
 def burau_at_minus_one(word: BraidWord) -> Matrix:
     """burau(word) specialized at t = -1, computed over plain integers."""
-    result = Matrix.identity(word.strands, one=1)
-    for letter in word.letters:
-        result = result * _letter_matrix(letter, word.strands, _POS_BLOCK_INT, _NEG_BLOCK_INT, 1, 0)
-    return result
+    return _burau_product(word, _AT_MINUS_ONE)
+
+
+def reduced_relation_matrix(
+    word: BraidWord, drop_index: int | None = None, at_minus_one: bool = False
+) -> Matrix:
+    """burau(word) - Id (at t = -1 over Z when ``at_minus_one``) with
+    row/column ``drop_index`` (1-based, default the last strand) deleted."""
+    drop = word.strands if drop_index is None else drop_index
+    if not (1 <= drop <= word.strands):
+        raise ValueError(f"drop_index {drop} out of range for {word.strands} strands")
+    product, one = (burau_at_minus_one, 1) if at_minus_one else (burau, _LAURENT[0])
+    m = product(word) - Matrix.identity(word.strands, one=one)
+    return m.delete_row_col(drop - 1, drop - 1)
 
 
 def permutation(word: BraidWord) -> tuple[int, ...]:

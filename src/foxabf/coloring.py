@@ -23,7 +23,7 @@ import math
 import os
 from dataclasses import dataclass
 
-from .braid import BraidWord, burau_at_minus_one
+from .braid import BraidWord, reduced_relation_matrix
 from .ring import AbelianGroup, Matrix, snf
 
 ENUMERATION_CAP_ENV = "FOXABF_BRUTE_FORCE_CAP"
@@ -57,11 +57,7 @@ class ColoringResult:
 def reduced_relation_matrix_int(word: BraidWord, drop_index: int | None = None) -> Matrix:
     """burau(word) at t = -1, minus Id, with row/column ``drop_index``
     (1-based, default the last strand) deleted."""
-    drop = word.strands if drop_index is None else drop_index
-    if not (1 <= drop <= word.strands):
-        raise ValueError(f"drop_index {drop} out of range for {word.strands} strands")
-    m = burau_at_minus_one(word) - Matrix.identity(word.strands, one=1)
-    return m.delete_row_col(drop - 1, drop - 1)
+    return reduced_relation_matrix(word, drop_index, at_minus_one=True)
 
 
 def coloring_group(word: BraidWord, drop_index: int | None = None) -> ColoringResult:

@@ -1,10 +1,12 @@
 """Braid parsing, wheel words, permutations, and the Burau representation."""
 
 import random
+import time
 
 import pytest
 
 from foxabf.braid import (
+    MAX_STRANDS,
     BraidParseError,
     BraidWord,
     burau,
@@ -230,3 +232,104 @@ def test_word_inverse_and_concat():
         assert burau(word * word.inverse()) == Matrix.identity(word.strands, one=ONE)
     with pytest.raises(ValueError):
         BraidWord(2, (1,)) * BraidWord(3, (1,))
+
+
+# -- strict wire form and the strand limit ---------------------------------------
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"strands": true, "letters": []}',
+        '{"letters": ["1 -2", "1"]}',
+        '{"letters": [[1,2]]}',
+        '{"letters": [1], "bogus": 3}',
+        '{"letters": [true]}',
+        '{"letters": [1.0]}',
+        '{"strands": 3.0, "letters": [1]}',
+        '{"strands": null, "letters": [1]}',
+    ],
+)
+def test_parse_json_rejects_malformed(text):
+    with pytest.raises(BraidParseError):
+        parse_braid(text)
+
+
+def test_parse_json_letter_position():
+    with pytest.raises(BraidParseError) as info:
+        parse_braid('{"letters": [1, -2, "3"]}')
+    assert info.value.position == 3
+
+
+@pytest.mark.parametrize("text", ["\uff11 2", "1 \u0663", "\u00b9"])
+def test_parse_rejects_non_ascii_digits(text):
+    with pytest.raises(BraidParseError):
+        parse_braid(text)
+
+
+def test_parse_signed_ascii_letters():
+    assert parse_braid("+1 -2").letters == (1, -2)
+
+
+def test_parse_strand_limit():
+    assert MAX_STRANDS >= 64  # well above the word sizes in everyday use
+    assert parse_braid("1", strands=MAX_STRANDS).strands == MAX_STRANDS
+    with pytest.raises(BraidParseError):
+        parse_braid("1", strands=MAX_STRANDS + 1)
+    with pytest.raises(BraidParseError):
+        parse_braid(str(MAX_STRANDS))  # inferred count MAX_STRANDS + 1
+    with pytest.raises(BraidParseError):
+        parse_braid(f'{{"strands": {MAX_STRANDS + 1}, "letters": [1]}}')
+
+
+# -- Burau against products of letter matrices -------------------------------------
+
+
+def letter_matrix_product(word, one, t, t_inv):
+    """Burau by the definition: the letter matrices of README's crossing
+    blocks ([[0, 1], [t, 1-t]] for sigma_i, [[1-t^-1, t^-1], [1, 0]] for its
+    inverse, on strands i and i+1), multiplied with Matrix.__mul__."""
+    s = word.strands
+    zero = one * 0
+    product = Matrix.identity(s, one=one)
+    for letter in word.letters:
+        i = abs(letter) - 1
+        block = ((zero, one), (t, one - t)) if letter > 0 else ((one - t_inv, t_inv), (one, zero))
+        rows = [[one if r == c else zero for c in range(s)] for r in range(s)]
+        for a in range(2):
+            for b in range(2):
+                rows[i + a][i + b] = block[a][b]
+        product = product * Matrix(rows)
+    return product
+
+
+def oracle_words():
+    rng = random.Random(79)
+    words = [BraidWord(1), BraidWord(4)]
+    for _ in range(40):
+        words.append(random_word(rng, max_strands=8, max_len=16))
+    for _ in range(20):
+        # letters on the first strands only: the rest stay untouched
+        strands = rng.randint(4, 8)
+        used = rng.randint(1, strands - 3)
+        letters = tuple(rng.choice((1, -1)) * rng.randint(1, used) for _ in range(rng.randint(1, 12)))
+        words.append(BraidWord(strands, letters))
+    return words
+
+
+def test_burau_matches_letter_matrix_product():
+    for word in oracle_words():
+        assert burau(word) == letter_matrix_product(word, ONE, T, TI), word
+
+
+def test_burau_at_minus_one_matches_letter_matrix_product():
+    for word in oracle_words():
+        assert burau_at_minus_one(word) == letter_matrix_product(word, 1, -1, -1), word
+
+
+def test_burau_long_word_is_fast():
+    rng = random.Random(80)
+    letters = tuple(rng.choice((1, -1)) * rng.randint(1, 23) for _ in range(300))
+    start = time.perf_counter()
+    burau(BraidWord(24, letters))
+    assert time.perf_counter() - start < 1.0

@@ -43,6 +43,25 @@ def test_colorgroup_bad_token_exits_2(capsys):
     assert info.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["colorgroup", '{"strands": true, "letters": []}'],
+        ["colorgroup", '{"letters": ["1 -2", "1"]}'],
+        ["colorgroup", '{"letters": [[1,2]]}'],
+        ["colorgroup", '{"letters": [1], "bogus": 3}'],
+        ["colorgroup", "\uff11 2"],
+        ["colorgroup", "1", "--strands", "100000"],
+        ["abf", '{"strands": 100000, "letters": [1]}'],
+    ],
+)
+def test_malformed_or_oversized_braid_exits_2(argv, capsys):
+    with pytest.raises(SystemExit) as info:
+        cli.main(argv)
+    assert info.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
 def test_colorgroup_json_braid_input(capsys):
     code, out = run(["colorgroup", '{"strands": 3, "letters": [1, -2, 1, -2, 1, -2]}'], capsys)
     assert code == 0
