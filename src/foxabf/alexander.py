@@ -67,11 +67,13 @@ class InternalConsistencyError(RuntimeError):
 class ModulePresentation:
     """Relation matrix (rows are relations), normalized Alexander
     polynomial, and - for the wheel family only - the ordered pair of
-    cyclic ideal generators (g, h) with g | h."""
+    cyclic ideal generators (g, h) with g | h and the determinant of
+    A'_n = A_n / (-g_n)."""
 
     matrix: Matrix
     alexander: LaurentPoly
     ideal_gens: tuple[LaurentPoly, LaurentPoly] | None = None
+    det_a_prime: LaurentPoly | None = None
 
 
 def reduced_abf_matrix(word: BraidWord, drop_index: int | None = None) -> Matrix:
@@ -149,9 +151,13 @@ def wheel_euclidean_reduction(
     both unit-normalized, and det_a_prime is the exact determinant of
     A'_n = A_n / (-g_n): 1 for odd n, 3 - t - t^{-1} for even n.
     """
-    if n < 1:
-        raise ValueError("the wheel family starts at n = 1")
-    a = wheel_abf_matrix_closed(n)
+    return _euclidean_reduction(n, wheel_abf_matrix_closed(n))
+
+
+def _euclidean_reduction(
+    n: int, a: Matrix
+) -> tuple[tuple[LaurentPoly, LaurentPoly], LaurentPoly]:
+    """wheel_euclidean_reduction on the closed matrix ``a`` = A_n."""
     g = wheel_g(n)
     neg_g = -g
     try:
@@ -201,17 +207,19 @@ def wheel_euclidean_reduction(
 
 def wheel_module(n: int) -> ModulePresentation:
     """Reduced module of the wheel-family closure: closed-form matrix,
-    cyclic ideal generators, and their normalized product as the
-    Alexander polynomial."""
+    cyclic ideal generators, det A'_n, and the generators' normalized
+    product as the Alexander polynomial."""
     matrix = wheel_abf_matrix_closed(n)
-    gens, _ = wheel_euclidean_reduction(n)
+    gens, det_a_prime = _euclidean_reduction(n, matrix)
     alexander = normalize_unit(gens[0] * gens[1])
     divide_exact(gens[1], gens[0])  # g | h, by construction; fails loudly otherwise
     if alexander != normalize_unit(matrix.det()):
         raise InternalConsistencyError(
             f"ideal generators do not multiply to det A_{n}"
         )
-    return ModulePresentation(matrix=matrix, alexander=alexander, ideal_gens=gens)
+    return ModulePresentation(
+        matrix=matrix, alexander=alexander, ideal_gens=gens, det_a_prime=det_a_prime
+    )
 
 
 def wheel_reduced_burau_matrix(n: int) -> Matrix:

@@ -22,10 +22,12 @@ assumed.
 from __future__ import annotations
 
 import json
+import random
 import re
 from dataclasses import dataclass
 
 from .ring import LaurentPoly, Matrix
+from .sequences import IdentityCheck
 
 # Largest strand count parse_braid accepts: Burau matrices are s x s, and
 # the reduced presentations are reduced by determinant and Smith normal
@@ -49,11 +51,11 @@ class BraidWord:
     letters: tuple[int, ...] = ()
 
     def __post_init__(self):
-        if not isinstance(self.strands, int) or self.strands < 1:
+        if type(self.strands) is not int or self.strands < 1:
             raise ValueError("strand count must be a positive integer")
         object.__setattr__(self, "letters", tuple(self.letters))
         for letter in self.letters:
-            if not isinstance(letter, int) or letter == 0:
+            if type(letter) is not int or letter == 0:
                 raise ValueError(f"invalid letter {letter!r}: letters are nonzero ints")
             if abs(letter) >= self.strands:
                 raise ValueError(
@@ -206,6 +208,70 @@ def burau(word: BraidWord) -> Matrix:
 def burau_at_minus_one(word: BraidWord) -> Matrix:
     """burau(word) specialized at t = -1, computed over plain integers."""
     return _burau_product(word, _AT_MINUS_ONE)
+
+
+def random_word(rng: random.Random, max_strands: int = 6, max_len: int = 20) -> BraidWord:
+    """A word of up to ``max_len`` uniform letters on 2..max_strands strands."""
+    strands = rng.randint(2, max_strands)
+    length = rng.randint(0, max_len)
+    letters = tuple(
+        rng.choice((1, -1)) * rng.randint(1, strands - 1) for _ in range(length)
+    )
+    return BraidWord(strands, letters)
+
+
+def burau_property_check(cases: int = 120, seed: int = 9151) -> IdentityCheck:
+    """Randomized Burau sanity: homomorphism, braid relations, inverse
+    cancellation, det = (-t)^writhe, row sums, weighted left null vector."""
+    rng = random.Random(seed)
+    results = []
+    for trial in range(cases):
+        word = random_word(rng)
+        m = burau(word)
+        s = word.strands
+        ok = True
+        kind = trial % 4
+        if kind == 0:
+            other = random_word(rng, max_strands=s, max_len=10)
+            other = BraidWord(s, other.letters)
+            ok = burau(word * other) == m * burau(other)
+        elif kind == 1:
+            ok = m * burau(word.inverse()) == Matrix.identity(s, one=LaurentPoly.one())
+        elif kind == 2:
+            weights = [LaurentPoly.t(s - 1 - i) for i in range(s)]
+            delta = m - Matrix.identity(s, one=LaurentPoly.one())
+            for j in range(s):
+                total = LaurentPoly.zero()
+                for i in range(s):
+                    total = total + weights[i] * delta[i, j]
+                ok = ok and total.is_zero
+            ok = ok and all(
+                sum((m[i, j] for j in range(s)), LaurentPoly.zero()) == 1
+                for i in range(s)
+            )
+        else:
+            small = random_word(rng, max_strands=4, max_len=12)
+            sign = exponent_sum(small)
+            expected = (-LaurentPoly.t() if sign >= 0 else -LaurentPoly.t(-1)) ** abs(sign)
+            ok = burau(small).det() == expected
+        results.append((f"trial={trial}", ok))
+    # braid relations on every adjacent pair up to 6 strands
+    for s in range(3, 7):
+        for i in range(1, s - 1):
+            lhs = burau(BraidWord(s, (i, i + 1, i)))
+            rhs = burau(BraidWord(s, (i + 1, i, i + 1)))
+            results.append((f"braid relation s={s}, i={i}", lhs == rhs))
+        for i in range(1, s - 1):
+            for j in range(i + 2, s):
+                lhs = burau(BraidWord(s, (i, j)))
+                rhs = burau(BraidWord(s, (j, i)))
+                results.append((f"far commutation s={s}, i={i}, j={j}", lhs == rhs))
+    count = 0
+    for label, ok in results:
+        count += 1
+        if not ok:
+            return IdentityCheck("burau_properties", count, label)
+    return IdentityCheck("burau_properties", count)
 
 
 def reduced_relation_matrix(

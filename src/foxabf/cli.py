@@ -11,31 +11,28 @@ from __future__ import annotations
 
 import argparse
 import json
-import random
 import sys
 
-from .alexander import (
-    general_presentation,
-    wheel_abf_matrix_closed,
-    wheel_abf_matrix_recursive,
-    wheel_euclidean_reduction,
-    wheel_module,
-    wheel_reduced_burau_matrix,
-)
-from .braid import (
-    BraidParseError,
-    BraidWord,
-    burau,
-    exponent_sum,
-    parse_braid,
-    wheel_braid,
-)
+from .alexander import general_presentation, wheel_module
+from .braid import _LETTER, BraidParseError, BraidWord, burau_property_check, parse_braid
 from .coloring import EnumerationLimitError, coloring_group
-from .ring import AbelianGroup, LaurentPoly, Matrix, normalize_unit
+from .ring import AbelianGroup, Matrix
 from .sequences import IdentityCheck, identity_suite, recurrence_solver_check
-from .wheel import cross_verify, fox_closed_form
+from .wheel import (
+    cross_verify,
+    fox_closed_form,
+    wheel_cross_verify_check,
+    wheel_matrix_routes_check,
+)
 
-_T = LaurentPoly.t()
+# Largest indices the CLI accepts.  Exact wheel arithmetic at index n
+# costs about n^3, a table from 1 about to^4 and verify about max_n^4 (the
+# identity suite about max_index^3); past these bounds one request runs
+# for minutes.
+MAX_WHEEL_INDEX = 800
+MAX_TABLE_INDEX = 300
+MAX_VERIFY_N = 120
+MAX_IDENTITY_INDEX = 120
 
 
 def _group_payload(group: AbelianGroup) -> dict:
@@ -61,6 +58,13 @@ def _emit(document: dict, fmt: str, text_lines: list[str]) -> None:
     else:
         for line in text_lines:
             print(line)
+
+
+def _ascii_int(text: str) -> int:
+    """argparse type: an optionally signed integer in ASCII digits."""
+    if not _LETTER.fullmatch(text):
+        raise argparse.ArgumentTypeError(f"invalid integer {text!r}")
+    return int(text)
 
 
 def _parse_braid_arg(parser: argparse.ArgumentParser, text: str, strands: int | None) -> BraidWord:
@@ -118,6 +122,8 @@ def _cmd_abf(parser, args) -> int:
 def _cmd_wheel(parser, args) -> int:
     if args.n < 1:
         parser.error("n must be at least 1")
+    if args.n > MAX_WHEEL_INDEX:
+        parser.error(f"n = {args.n} exceeds the limit of {MAX_WHEEL_INDEX}")
     moduli = tuple(args.moduli or ())
     if any(m < 2 for m in moduli):
         parser.error("every modulus must be at least 2")
@@ -125,9 +131,8 @@ def _cmd_wheel(parser, args) -> int:
         report = cross_verify(args.n, brute_force_moduli=moduli)
     except EnumerationLimitError as exc:
         parser.error(str(exc))
-    module = wheel_module(args.n)
+    module = report.module
     gens = module.ideal_gens
-    _, det_a_prime = wheel_euclidean_reduction(args.n)
     document = {
         "command": "wheel",
         "inputs": {"n": args.n, "moduli": list(moduli)},
@@ -135,7 +140,7 @@ def _cmd_wheel(parser, args) -> int:
             "closed_form_group": _group_payload(report.closed_form_group),
             "burau_group": _group_payload(report.burau_group),
             "ideal_gens": [str(g) for g in gens],
-            "det_a_prime": str(det_a_prime),
+            "det_a_prime": str(module.det_a_prime),
             "alexander": str(module.alexander),
             "ideal_gens_at_minus_one": [str(v) for v in report.abf_gens_at_minus_one],
             "brute_force": [
@@ -156,7 +161,7 @@ def _cmd_wheel(parser, args) -> int:
         f"closed-form group:  {report.closed_form_group.describe()}",
         f"burau-route group:  {report.burau_group.describe()}",
         f"module generators:  ({gens[0]}, {gens[1]})",
-        f"det A' = {det_a_prime}",
+        f"det A' = {module.det_a_prime}",
         f"alexander polynomial: {module.alexander}",
         f"generators at t=-1: {list(report.abf_gens_at_minus_one)}",
     ]
@@ -174,11 +179,13 @@ def _cmd_wheel(parser, args) -> int:
 def _cmd_verify(parser, args) -> int:
     if args.max_n < 1 or args.max_index < 1:
         parser.error("--max-n and --max-index must be at least 1")
+    if args.max_n > MAX_VERIFY_N or args.max_index > MAX_IDENTITY_INDEX:
+        parser.error(f"--max-n is limited to {MAX_VERIFY_N}, --max-index to {MAX_IDENTITY_INDEX}")
     checks: list[IdentityCheck] = list(identity_suite(args.max_index).checks)
     checks.append(recurrence_solver_check(min(40, args.max_index)))
-    checks.append(_burau_property_check())
-    checks.append(_wheel_matrix_routes_check(args.max_n))
-    checks.append(_wheel_cross_verify_check(args.max_n))
+    checks.append(burau_property_check())
+    checks.append(wheel_matrix_routes_check(args.max_n))
+    checks.append(wheel_cross_verify_check(args.max_n))
 
     document = {
         "command": "verify",
@@ -207,99 +214,11 @@ def _cmd_verify(parser, args) -> int:
     return 0 if ok else 1
 
 
-def _random_word(rng: random.Random, max_strands: int = 6, max_len: int = 20) -> BraidWord:
-    strands = rng.randint(2, max_strands)
-    length = rng.randint(0, max_len)
-    letters = tuple(
-        rng.choice((1, -1)) * rng.randint(1, strands - 1) for _ in range(length)
-    )
-    return BraidWord(strands, letters)
-
-
-def _burau_property_check(cases: int = 120, seed: int = 9151) -> IdentityCheck:
-    """Randomized Burau sanity: homomorphism, braid relations, inverse
-    cancellation, det = (-t)^writhe, row sums, weighted left null vector."""
-    rng = random.Random(seed)
-    results = []
-    for trial in range(cases):
-        word = _random_word(rng)
-        m = burau(word)
-        s = word.strands
-        ok = True
-        kind = trial % 4
-        if kind == 0:
-            other = _random_word(rng, max_strands=s, max_len=10)
-            other = BraidWord(s, other.letters)
-            ok = burau(word * other) == m * burau(other)
-        elif kind == 1:
-            ok = m * burau(word.inverse()) == Matrix.identity(s, one=LaurentPoly.one())
-        elif kind == 2:
-            weights = [LaurentPoly.t(s - 1 - i) for i in range(s)]
-            delta = m - Matrix.identity(s, one=LaurentPoly.one())
-            for j in range(s):
-                total = LaurentPoly.zero()
-                for i in range(s):
-                    total = total + weights[i] * delta[i, j]
-                ok = ok and total.is_zero
-            ok = ok and all(
-                sum((m[i, j] for j in range(s)), LaurentPoly.zero()) == 1
-                for i in range(s)
-            )
-        else:
-            small = _random_word(rng, max_strands=4, max_len=12)
-            sign = exponent_sum(small)
-            expected = (-_T if sign >= 0 else -LaurentPoly.t(-1)) ** abs(sign)
-            ok = burau(small).det() == expected
-        results.append((f"trial={trial}", ok))
-    # braid relations on every adjacent pair up to 6 strands
-    for s in range(3, 7):
-        for i in range(1, s - 1):
-            lhs = burau(BraidWord(s, (i, i + 1, i)))
-            rhs = burau(BraidWord(s, (i + 1, i, i + 1)))
-            results.append((f"braid relation s={s}, i={i}", lhs == rhs))
-        for i in range(1, s - 1):
-            for j in range(i + 2, s):
-                lhs = burau(BraidWord(s, (i, j)))
-                rhs = burau(BraidWord(s, (j, i)))
-                results.append((f"far commutation s={s}, i={i}, j={j}", lhs == rhs))
-    count = 0
-    for label, ok in results:
-        count += 1
-        if not ok:
-            return IdentityCheck("burau_properties", count, label)
-    return IdentityCheck("burau_properties", count)
-
-
-def _wheel_matrix_routes_check(max_n: int) -> IdentityCheck:
-    cases = 0
-    for n in range(1, max_n + 1):
-        cases += 1
-        closed = wheel_abf_matrix_closed(n)
-        if wheel_abf_matrix_recursive(n) != closed:
-            return IdentityCheck("wheel_matrix_routes", cases, f"n={n} (recursive != closed)")
-        if n <= 15:
-            det_closed = normalize_unit(closed.det())
-            det_burau = normalize_unit(wheel_reduced_burau_matrix(n).det())
-            if det_closed != det_burau:
-                return IdentityCheck(
-                    "wheel_matrix_routes", cases, f"n={n} (closed det != burau det)"
-                )
-    return IdentityCheck("wheel_matrix_routes", cases)
-
-
-def _wheel_cross_verify_check(max_n: int) -> IdentityCheck:
-    cases = 0
-    for n in range(1, max_n + 1):
-        cases += 1
-        report = cross_verify(n, brute_force_moduli=(2, 3, 5))
-        if not report.all_consistent:
-            return IdentityCheck("wheel_cross_verify", cases, f"n={n}")
-    return IdentityCheck("wheel_cross_verify", cases)
-
-
 def _cmd_table(parser, args) -> int:
     if args.from_n < 1 or args.from_n > args.to_n:
         parser.error("need 1 <= --from <= --to")
+    if args.to_n > MAX_TABLE_INDEX:
+        parser.error(f"--to {args.to_n} exceeds the limit of {MAX_TABLE_INDEX}")
     rows = []
     for n in range(args.from_n, args.to_n + 1):
         group = fox_closed_form(n)
@@ -349,29 +268,29 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_color = sub.add_parser("colorgroup", help="reduced Fox coloring group of a braid closure")
     p_color.add_argument("braid", help='braid word, e.g. "1 -2 1 -2"')
-    p_color.add_argument("--strands", type=int, default=None, help="strand count override")
+    p_color.add_argument("--strands", type=_ascii_int, default=None, help="strand count override")
     p_color.add_argument("--format", choices=("text", "json"), default="text")
 
     p_abf = sub.add_parser("abf", help="reduced ABF presentation and Alexander polynomial")
     p_abf.add_argument("braid", help='braid word, e.g. "1 -2 1 -2"')
-    p_abf.add_argument("--strands", type=int, default=None, help="strand count override")
+    p_abf.add_argument("--strands", type=_ascii_int, default=None, help="strand count override")
     p_abf.add_argument("--format", choices=("text", "json"), default="text")
 
     p_wheel = sub.add_parser("wheel", help="cross-verified report for one wheel index")
-    p_wheel.add_argument("n", type=int, help="number of spokes (>= 1)")
+    p_wheel.add_argument("n", type=_ascii_int, help="number of spokes (>= 1)")
     p_wheel.add_argument(
-        "--moduli", type=int, nargs="*", default=None, help="brute-force coloring moduli"
+        "--moduli", type=_ascii_int, nargs="*", default=None, help="brute-force coloring moduli"
     )
     p_wheel.add_argument("--format", choices=("text", "json"), default="text")
 
     p_verify = sub.add_parser("verify", help="run every identity and cross-route suite")
-    p_verify.add_argument("--max-n", type=int, default=20, dest="max_n")
-    p_verify.add_argument("--max-index", type=int, default=40, dest="max_index")
+    p_verify.add_argument("--max-n", type=_ascii_int, default=20, dest="max_n")
+    p_verify.add_argument("--max-index", type=_ascii_int, default=40, dest="max_index")
     p_verify.add_argument("--format", choices=("text", "json"), default="text")
 
     p_table = sub.add_parser("table", help="closed-form table over a range of wheel indices")
-    p_table.add_argument("--from", type=int, required=True, dest="from_n")
-    p_table.add_argument("--to", type=int, required=True, dest="to_n")
+    p_table.add_argument("--from", type=_ascii_int, required=True, dest="from_n")
+    p_table.add_argument("--to", type=_ascii_int, required=True, dest="to_n")
     p_table.add_argument(
         "--format", choices=("text", "json", "csv", "markdown"), default="text"
     )

@@ -14,7 +14,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .alexander import wheel_module
+from .alexander import (
+    ModulePresentation,
+    wheel_abf_matrix_closed,
+    wheel_abf_matrix_recursive,
+    wheel_module,
+    wheel_reduced_burau_matrix,
+)
 from .braid import wheel_braid
 from .coloring import (
     ColoringResult,
@@ -22,8 +28,8 @@ from .coloring import (
     coloring_count_from_group,
     coloring_group,
 )
-from .ring import AbelianGroup, Matrix, snf
-from .sequences import cheb_S_at, fib, lucas
+from .ring import AbelianGroup, Matrix, normalize_unit, snf
+from .sequences import IdentityCheck, cheb_S_at, fib, lucas
 
 
 @dataclass(frozen=True)
@@ -42,6 +48,7 @@ class WheelReport:
     n: int
     closed_form_group: AbelianGroup
     burau_group: AbelianGroup
+    module: ModulePresentation
     abf_gens_at_minus_one: tuple[int, ...]
     brute_force_checks: tuple[BruteForceCheck, ...]
     goeritz_ok: bool
@@ -154,8 +161,40 @@ def cross_verify(n: int, brute_force_moduli: tuple[int, ...] = ()) -> WheelRepor
         n=n,
         closed_form_group=closed,
         burau_group=burau_group,
+        module=module,
         abf_gens_at_minus_one=gens_at,
         brute_force_checks=tuple(checks),
         goeritz_ok=goeritz_ok,
         all_consistent=consistent,
     )
+
+
+def wheel_matrix_routes_check(max_n: int) -> IdentityCheck:
+    """Recursive and closed wheel matrices agree entrywise for n <= max_n,
+    and for n <= 15 the closed determinant matches the Burau route's."""
+    cases = 0
+    for n in range(1, max_n + 1):
+        cases += 1
+        closed = wheel_abf_matrix_closed(n)
+        if wheel_abf_matrix_recursive(n) != closed:
+            return IdentityCheck("wheel_matrix_routes", cases, f"n={n} (recursive != closed)")
+        if n <= 15:
+            det_closed = normalize_unit(closed.det())
+            det_burau = normalize_unit(wheel_reduced_burau_matrix(n).det())
+            if det_closed != det_burau:
+                return IdentityCheck(
+                    "wheel_matrix_routes", cases, f"n={n} (closed det != burau det)"
+                )
+    return IdentityCheck("wheel_matrix_routes", cases)
+
+
+def wheel_cross_verify_check(max_n: int) -> IdentityCheck:
+    """cross_verify, with brute force mod 2, 3 and 5, is consistent for
+    every n <= max_n."""
+    cases = 0
+    for n in range(1, max_n + 1):
+        cases += 1
+        report = cross_verify(n, brute_force_moduli=(2, 3, 5))
+        if not report.all_consistent:
+            return IdentityCheck("wheel_cross_verify", cases, f"n={n}")
+    return IdentityCheck("wheel_cross_verify", cases)

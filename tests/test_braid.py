@@ -99,6 +99,12 @@ def test_braidword_validation():
         BraidWord(3, (0,))
 
 
+@pytest.mark.parametrize("args", [(True,), (3, (True,))])
+def test_braidword_rejects_bools(args):
+    with pytest.raises(ValueError):
+        BraidWord(*args)
+
+
 # -- wheel words ----------------------------------------------------------------
 
 

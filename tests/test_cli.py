@@ -1,10 +1,11 @@
 """CLI behavior: outputs, exit codes, and deterministic JSON."""
 
 import json
+import sys
 
 import pytest
 
-from foxabf import cli
+from foxabf import alexander, cli
 from foxabf.coloring import ENUMERATION_CAP_ENV
 from foxabf.sequences import IdentityCheck
 
@@ -18,6 +19,22 @@ def run(argv, capsys):
 def run_json(argv, capsys):
     code, out = run(argv, capsys)
     return code, out, json.loads(out)
+
+
+def count_calls(monkeypatch, module, name):
+    """Wrap module.name in every foxabf namespace that binds it; the
+    returned list grows by one per call."""
+    original = getattr(module, name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for module_name, namespace in list(sys.modules.items()):
+        if module_name.startswith("foxabf") and getattr(namespace, name, None) is original:
+            monkeypatch.setattr(namespace, name, counted)
+    return calls
 
 
 # -- colorgroup -----------------------------------------------------------------
@@ -56,6 +73,27 @@ def test_colorgroup_bad_token_exits_2(capsys):
     ],
 )
 def test_malformed_or_oversized_braid_exits_2(argv, capsys):
+    with pytest.raises(SystemExit) as info:
+        cli.main(argv)
+    assert info.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["colorgroup", "1", "--strands", "\uff15"],
+        ["abf", "1", "--strands", "\u0665"],
+        ["wheel", "\uff11\uff12"],
+        ["wheel", "2", "--moduli", "\uff15"],
+        ["verify", "--max-n", "\uff12"],
+        ["verify", "--max-index", "\uff12"],
+        ["table", "--from", "\uff11", "--to", "3"],
+        ["table", "--from", "1", "--to", "1_0"],
+        ["table", "--from", " 1", "--to", "3"],
+    ],
+)
+def test_non_ascii_integer_exits_2(argv, capsys):
     with pytest.raises(SystemExit) as info:
         cli.main(argv)
     assert info.value.code == 2
@@ -121,6 +159,30 @@ def test_wheel_enumeration_cap_exits_2(capsys, monkeypatch):
     assert info.value.code == 2
 
 
+def test_wheel_computes_the_module_once(capsys, monkeypatch):
+    builds = count_calls(monkeypatch, alexander, "wheel_abf_matrix_closed")
+    modules = count_calls(monkeypatch, alexander, "wheel_module")
+    code, _ = run(["wheel", "7"], capsys)
+    assert code == 0
+    assert (len(builds), len(modules)) == (1, 1)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["wheel", str(cli.MAX_WHEEL_INDEX + 1)],
+        ["table", "--from", "1", "--to", str(cli.MAX_TABLE_INDEX + 1)],
+        ["verify", "--max-n", str(cli.MAX_VERIFY_N + 1)],
+        ["verify", "--max-index", str(cli.MAX_IDENTITY_INDEX + 1)],
+    ],
+)
+def test_index_over_its_limit_exits_2(argv, capsys):
+    with pytest.raises(SystemExit) as info:
+        cli.main(argv)
+    assert info.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
 # -- verify ---------------------------------------------------------------------------
 
 
@@ -175,6 +237,13 @@ def test_table_markdown(capsys):
     code, out = run(["table", "--from", "2", "--to", "2", "--format", "markdown"], capsys)
     assert code == 0
     assert out.splitlines()[0] == "| n | group | ideal generators | alexander |"
+
+
+def test_table_builds_each_matrix_once(capsys, monkeypatch):
+    builds = count_calls(monkeypatch, alexander, "wheel_abf_matrix_closed")
+    code, _ = run(["table", "--from", "2", "--to", "11"], capsys)
+    assert code == 0
+    assert [args[0] for args in builds] == list(range(2, 12))
 
 
 def test_table_bad_range_exits_2(capsys):

@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+from foxabf.alexander import wheel_euclidean_reduction, wheel_module
 from foxabf.braid import wheel_braid
 from foxabf.coloring import coloring_group
 from foxabf.ring import AbelianGroup, Matrix, snf
@@ -160,6 +161,13 @@ def test_cross_verify_wheel_four_counts():
     assert report.all_consistent
     assert [(c.modulus, c.count) for c in report.brute_force_checks] == [(3, 27), (5, 25)]
     assert [c.predicted for c in report.brute_force_checks] == [27, 25]
+
+
+def test_report_carries_the_wheel_module():
+    for n in range(1, 13):
+        module = cross_verify(n).module
+        assert module == wheel_module(n)
+        assert module.det_a_prime == wheel_euclidean_reduction(n)[1]
 
 
 def test_cross_verify_rejects_bad_n():
