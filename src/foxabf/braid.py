@@ -37,6 +37,14 @@ MAX_STRANDS = 256
 _LETTER = re.compile(r"[+-]?[0-9]+")
 
 
+def _echo(value: object, limit: int = 20) -> str:
+    """A value as an error message shows it (strings quoted), clipped past
+    ``limit`` characters so an oversized argument is not echoed whole."""
+    text = str(value)
+    shown = repr(text[:limit]) if isinstance(value, str) else text[:limit]
+    return shown if len(text) <= limit else f"{shown}... ({len(text)} characters)"
+
+
 class BraidParseError(ValueError):
     """Invalid braid text; ``position`` is the 1-based offending token."""
 
@@ -96,7 +104,7 @@ def parse_braid(text: str, strands: int | None = None) -> BraidWord:
                 letters.append(int(token, 10))
             except ValueError:  # not ASCII digits, or more than int() converts
                 raise BraidParseError(
-                    f"invalid braid letter {token!r} at token {pos}", position=pos
+                    f"invalid braid letter {_echo(token)} at token {pos}", position=pos
                 ) from None
     return _checked_word(letters, strands)
 
@@ -107,6 +115,11 @@ def _checked_word(letters: list[int], strands: int | None) -> BraidWord:
     for pos, value in enumerate(letters, start=1):
         if value == 0:
             raise BraidParseError(f"braid letter 0 at token {pos}", position=pos)
+        if abs(value) >= MAX_STRANDS:
+            raise BraidParseError(
+                f"letter {_echo(value)} at token {pos} needs more than {MAX_STRANDS} strands",
+                position=pos,
+            )
     inferred = max((abs(l) for l in letters), default=0) + 1
     if strands is None:
         if not letters:
@@ -122,7 +135,7 @@ def _checked_word(letters: list[int], strands: int | None) -> BraidWord:
             position=bad + 1,
         )
     if strands > MAX_STRANDS:
-        raise BraidParseError(f"{strands} strands exceed the limit of {MAX_STRANDS}")
+        raise BraidParseError(f"{_echo(strands)} strands exceed the limit of {MAX_STRANDS}")
     return BraidWord(strands, tuple(letters))
 
 
@@ -140,14 +153,14 @@ def _parse_json_braid(text: str, strands: int | None) -> tuple[list[int], int | 
     for pos, value in enumerate(letters, start=1):
         if type(value) is not int:  # bools and floats are not letters
             raise BraidParseError(
-                f"JSON braid letter {value!r} at token {pos} is not an integer",
+                f"JSON braid letter {_echo(value)} at token {pos} is not an integer",
                 position=pos,
             )
     if "strands" not in obj:
         return letters, strands
     own = obj["strands"]
     if type(own) is not int or own < 1:
-        raise BraidParseError(f"JSON strand count {own!r} is not a positive integer")
+        raise BraidParseError(f"JSON strand count {_echo(own)} is not a positive integer")
     if strands is not None and own != strands:
         raise BraidParseError(
             f"JSON strand count {own} conflicts with the explicit value {strands}"

@@ -14,7 +14,7 @@ import json
 import sys
 
 from .alexander import general_presentation, wheel_module
-from .braid import _LETTER, BraidParseError, BraidWord, burau_property_check, parse_braid
+from .braid import _LETTER, BraidParseError, BraidWord, _echo, burau_property_check, parse_braid
 from .coloring import EnumerationLimitError, coloring_group
 from .ring import AbelianGroup, Matrix
 from .sequences import IdentityCheck, identity_suite, recurrence_solver_check
@@ -62,9 +62,12 @@ def _emit(document: dict, fmt: str, text_lines: list[str]) -> None:
 
 def _ascii_int(text: str) -> int:
     """argparse type: an optionally signed integer in ASCII digits."""
-    if not _LETTER.fullmatch(text):
-        raise argparse.ArgumentTypeError(f"invalid integer {text!r}")
-    return int(text)
+    if _LETTER.fullmatch(text):
+        try:
+            return int(text)
+        except ValueError:  # more digits than int() converts
+            pass
+    raise argparse.ArgumentTypeError(f"invalid integer {_echo(text)}")
 
 
 def _parse_braid_arg(parser: argparse.ArgumentParser, text: str, strands: int | None) -> BraidWord:
@@ -123,7 +126,7 @@ def _cmd_wheel(parser, args) -> int:
     if args.n < 1:
         parser.error("n must be at least 1")
     if args.n > MAX_WHEEL_INDEX:
-        parser.error(f"n = {args.n} exceeds the limit of {MAX_WHEEL_INDEX}")
+        parser.error(f"n = {_echo(args.n)} exceeds the limit of {MAX_WHEEL_INDEX}")
     moduli = tuple(args.moduli or ())
     if any(m < 2 for m in moduli):
         parser.error("every modulus must be at least 2")
@@ -218,7 +221,7 @@ def _cmd_table(parser, args) -> int:
     if args.from_n < 1 or args.from_n > args.to_n:
         parser.error("need 1 <= --from <= --to")
     if args.to_n > MAX_TABLE_INDEX:
-        parser.error(f"--to {args.to_n} exceeds the limit of {MAX_TABLE_INDEX}")
+        parser.error(f"--to {_echo(args.to_n)} exceeds the limit of {MAX_TABLE_INDEX}")
     rows = []
     for n in range(args.from_n, args.to_n + 1):
         group = fox_closed_form(n)

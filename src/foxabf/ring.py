@@ -2,10 +2,15 @@
 integer Smith normal form.
 
 Integers are plain Python ``int`` (arbitrary precision; Fibonacci-scale
-entries up to F_400 and beyond are exact).  Laurent polynomials are
-immutable exponent -> coefficient maps with no stored zeros, so equality
-is map equality.  Matrices are immutable and work over either ring:
-entries may be ``int`` or ``LaurentPoly`` and mix freely, since ints
+entries up to F_400 and beyond are exact).  A Laurent polynomial is stored
+densely as ``(lo, coeffs)``: ``lo`` is the lowest exponent and ``coeffs``
+the tuple of coefficients of t^lo, t^(lo+1), ..., whose first and last
+entries are nonzero; zero is ``(0, ())``.  The form is canonical, so
+equality is tuple equality, and every ring operation has one code path.
+Storage grows with the exponent span, not the number of terms; every
+polynomial the library builds is dense (its span is bounded by the word
+length or the wheel index).  Matrices are immutable and work over either
+ring: entries may be ``int`` or ``LaurentPoly`` and mix freely, since ints
 coerce to constant polynomials.
 
 Everything in this module is a pure function over immutable values and is
@@ -15,8 +20,9 @@ safe to call concurrently.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Union
+from typing import Callable, Iterable, Mapping, Sequence, Union
 
 
 class InexactDivisionError(ArithmeticError):
@@ -24,42 +30,61 @@ class InexactDivisionError(ArithmeticError):
 
 
 class LaurentPoly:
-    """Element of Z[t^(+/-1)], stored as {exponent: nonzero coefficient}."""
+    """Element of Z[t^(+/-1)], stored as ``(lo, coeffs)``.
 
-    __slots__ = ("_coeffs",)
+    ``coeffs[i]`` is the coefficient of t^(lo+i); the first and last
+    entries are nonzero, and zero is ``(0, ())``.  A sparse polynomial
+    such as 1 + t^1000 therefore stores its 999 zero coefficients too.
+    """
+
+    __slots__ = ("_lo", "_coeffs")
 
     def __init__(self, coeffs: Mapping[int, int] | None = None):
-        data: dict[int, int] = {}
-        if coeffs:
-            for exp, coef in coeffs.items():
-                if not isinstance(exp, int) or not isinstance(coef, int):
-                    raise TypeError("exponents and coefficients must be ints")
-                if coef:
-                    data[exp] = coef
-        self._coeffs = data
+        coeffs = coeffs or {}
+        for exp, coef in coeffs.items():
+            if not isinstance(exp, int) or not isinstance(coef, int):
+                raise TypeError("exponents and coefficients must be ints")
+        exps = [e for e, c in coeffs.items() if c]
+        lo = min(exps, default=0)
+        dense = [0] * (max(exps) - lo + 1 if exps else 0)
+        for e in exps:
+            dense[e - lo] = coeffs[e]
+        self._lo = lo
+        self._coeffs = tuple(dense)
 
     @classmethod
-    def _raw(cls, data: dict[int, int]) -> "LaurentPoly":
-        # internal fast path: data must already be canonical (no zeros)
+    def _of(cls, lo: int, coeffs: tuple[int, ...]) -> "LaurentPoly":
+        # internal fast path: coeffs must already be canonical
         poly = cls.__new__(cls)
-        poly._coeffs = data
+        poly._lo = lo if coeffs else 0
+        poly._coeffs = coeffs
         return poly
 
     @classmethod
+    def _trimmed(cls, lo: int, coeffs: Sequence[int]) -> "LaurentPoly":
+        """Canonical polynomial sum(coeffs[i] t^(lo+i)); zeros at either end dropped."""
+        start, end = 0, len(coeffs)
+        while end and not coeffs[end - 1]:
+            end -= 1
+        while start < end and not coeffs[start]:
+            start += 1
+        return cls._of(lo + start, tuple(coeffs[start:end]))
+
+    @classmethod
     def zero(cls) -> "LaurentPoly":
-        return cls._raw({})
+        return cls._of(0, ())
 
     @classmethod
     def one(cls) -> "LaurentPoly":
-        return cls._raw({0: 1})
+        return cls._of(0, (1,))
 
     @classmethod
     def const(cls, value: int) -> "LaurentPoly":
-        return cls._raw({0: value} if value else {})
+        return cls._of(0, (value,) if value else ())
 
     @classmethod
     def t(cls, exp: int = 1) -> "LaurentPoly":
-        return cls._raw({exp: 1})
+        return cls._of(exp, (1,))
 
     # -- basic queries ------------------------------------------------
 
@@ -71,26 +96,25 @@ class LaurentPoly:
     def min_exp(self) -> int:
         if not self._coeffs:
             raise ValueError("zero polynomial has no exponents")
-        return min(self._coeffs)
+        return self._lo
 
     @property
     def max_exp(self) -> int:
         if not self._coeffs:
             raise ValueError("zero polynomial has no exponents")
-        return max(self._coeffs)
+        return self._lo + len(self._coeffs) - 1
 
     def coeff(self, exp: int) -> int:
-        return self._coeffs.get(exp, 0)
+        i = exp - self._lo
+        return self._coeffs[i] if 0 <= i < len(self._coeffs) else 0
 
     def terms(self) -> tuple[tuple[int, int], ...]:
         """Terms as (exponent, coefficient) pairs in increasing exponent."""
-        return tuple(sorted(self._coeffs.items()))
+        return tuple((e, c) for e, c in enumerate(self._coeffs, self._lo) if c)
 
     def is_unit(self) -> bool:
         """True for +/- t^k, the units of Z[t^(+/-1)]."""
-        if len(self._coeffs) != 1:
-            return False
-        return abs(next(iter(self._coeffs.values()))) == 1
+        return len(self._coeffs) == 1 and abs(self._coeffs[0]) == 1
 
     # -- arithmetic ---------------------------------------------------
 
@@ -106,19 +130,22 @@ class LaurentPoly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        out = dict(self._coeffs)
-        for exp, coef in other._coeffs.items():
-            val = out.get(exp, 0) + coef
-            if val:
-                out[exp] = val
-            elif exp in out:
-                del out[exp]
-        return LaurentPoly._raw(out)
+        a, b = self._coeffs, other._coeffs
+        if not a:
+            return other
+        if not b:
+            return self
+        la, lb = self._lo, other._lo
+        lo = min(la, lb)
+        hi = max(la + len(a), lb + len(b))
+        a = (0,) * (la - lo) + a + (0,) * (hi - la - len(a))
+        b = (0,) * (lb - lo) + b + (0,) * (hi - lb - len(b))
+        return LaurentPoly._trimmed(lo, list(map(operator.add, a, b)))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return LaurentPoly._raw({e: -c for e, c in self._coeffs.items()})
+        return LaurentPoly._of(self._lo, tuple(map(operator.neg, self._coeffs)))
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -138,46 +165,16 @@ class LaurentPoly:
             return NotImplemented
         a, b = self._coeffs, other._coeffs
         if not a or not b:
-            return LaurentPoly._raw({})
-        if len(a) >= 8 and len(b) >= 8:
-            dense = self._mul_dense(a, b)
-            if dense is not None:
-                return dense
+            return LaurentPoly.zero()
         if len(a) > len(b):
             a, b = b, a
-        out: dict[int, int] = {}
-        for ea, ca in a.items():
-            for eb, cb in b.items():
-                exp = ea + eb
-                val = out.get(exp, 0) + ca * cb
-                if val:
-                    out[exp] = val
-                elif exp in out:
-                    del out[exp]
-        return LaurentPoly._raw(out)
-
-    @staticmethod
-    def _mul_dense(a: dict[int, int], b: dict[int, int]) -> "LaurentPoly | None":
-        # list-based convolution; pays off for dense operands, skipped when
-        # the exponent span is much larger than the number of terms
-        amin, amax = min(a), max(a)
-        bmin, bmax = min(b), max(b)
-        if (amax - amin) > 4 * len(a) + 16 or (bmax - bmin) > 4 * len(b) + 16:
-            return None
-        da = [0] * (amax - amin + 1)
-        for e, c in a.items():
-            da[e - amin] = c
-        db = [0] * (bmax - bmin + 1)
-        for e, c in b.items():
-            db[e - bmin] = c
-        out = [0] * (len(da) + len(db) - 1)
-        for i, ca in enumerate(da):
+        # over Z the end coefficients of the product are nonzero: no trim
+        out = [0] * (len(a) + len(b) - 1)
+        for i, ca in enumerate(a):
             if ca:
-                for j, cb in enumerate(db):
-                    if cb:
-                        out[i + j] += ca * cb
-        base = amin + bmin
-        return LaurentPoly._raw({base + k: v for k, v in enumerate(out) if v})
+                for j, cb in enumerate(b, i):
+                    out[j] += ca * cb
+        return LaurentPoly._of(self._lo + other._lo, tuple(out))
 
     __rmul__ = __mul__
 
@@ -195,11 +192,12 @@ class LaurentPoly:
 
     def shift(self, k: int) -> "LaurentPoly":
         """Multiply by t^k."""
-        return LaurentPoly._raw({e + k: c for e, c in self._coeffs.items()})
+        return LaurentPoly._of(self._lo + k, self._coeffs)
 
     def at_minus_one(self) -> int:
         """Evaluate at t = -1 (so t^-1 = -1 as well); exact integer."""
-        return sum(c if e % 2 == 0 else -c for e, c in self._coeffs.items())
+        value = sum(self._coeffs[0::2]) - sum(self._coeffs[1::2])
+        return -value if self._lo % 2 else value
 
     # -- comparisons / hashing ----------------------------------------
 
@@ -207,16 +205,16 @@ class LaurentPoly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return self._coeffs == other._coeffs
+        return self._lo == other._lo and self._coeffs == other._coeffs
 
     def __hash__(self):
         # constant polynomials hash like their integer value so that the
         # int coercion in __eq__ keeps the hash invariant
         if not self._coeffs:
             return hash(0)
-        if len(self._coeffs) == 1 and 0 in self._coeffs:
+        if self._lo == 0 and len(self._coeffs) == 1:
             return hash(self._coeffs[0])
-        return hash(tuple(sorted(self._coeffs.items())))
+        return hash(self.terms())
 
     def __bool__(self):
         return bool(self._coeffs)
@@ -228,23 +226,16 @@ class LaurentPoly:
 
         Examples: "0", "1-3*t+t^2", "t^-1", "-t^-1+3-t".
         """
-        if not self._coeffs:
-            return "0"
-        parts = []
-        for exp, coef in sorted(self._coeffs.items()):
-            sign = "-" if coef < 0 else "+"
+        text = ""
+        for exp, coef in self.terms():
             mag = abs(coef)
             if exp == 0:
                 body = str(mag)
             else:
                 power = var if exp == 1 else f"{var}^{exp}"
                 body = power if mag == 1 else f"{mag}*{power}"
-            parts.append((sign, body))
-        first_sign, first_body = parts[0]
-        text = (first_sign if first_sign == "-" else "") + first_body
-        for sign, body in parts[1:]:
-            text += sign + body
-        return text
+            text += ("-" if coef < 0 else "+" if text else "") + body
+        return text or "0"
 
     def __str__(self):
         return self.to_str()
@@ -282,9 +273,7 @@ def divide_exact(a: Ring, b: Ring) -> LaurentPoly:
         raise ZeroDivisionError("division by the zero polynomial")
     if pa.is_zero:
         return LaurentPoly.zero()
-    shift = pa.min_exp - pb.min_exp
-    da = _dense(pa)
-    db = _dense(pb)
+    da, db = pa._coeffs, pb._coeffs
     if len(da) < len(db):
         raise InexactDivisionError(f"({pa}) is not divisible by ({pb})")
     rem = list(da)
@@ -297,11 +286,12 @@ def divide_exact(a: Ring, b: Ring) -> LaurentPoly:
         q = top // lead
         quot[i] = q
         if q:
-            for j, c in enumerate(db):
-                rem[i + j] -= q * c
+            for j, c in enumerate(db, i):
+                rem[j] -= q * c
     if any(rem):
         raise InexactDivisionError(f"({pa}) is not divisible by ({pb})")
-    return LaurentPoly({i + shift: c for i, c in enumerate(quot)})
+    # exact: the ends of quot divide the nonzero ends of da, so are nonzero
+    return LaurentPoly._of(pa._lo - pb._lo, tuple(quot))
 
 
 def laurent_gcd(a: Ring, b: Ring) -> LaurentPoly:
@@ -320,20 +310,11 @@ def laurent_gcd(a: Ring, b: Ring) -> LaurentPoly:
         return normalize_unit(pb)
     if pb.is_zero:
         return normalize_unit(pa)
-    ca, fa = _content_primitive(_dense(pa))
-    cb, fb = _content_primitive(_dense(pb))
+    ca, fa = _content_primitive(pa._coeffs)
+    cb, fb = _content_primitive(pb._coeffs)
     content = math.gcd(ca, cb)
     prim = _primitive_gcd(fa, fb)
-    return normalize_unit(LaurentPoly({i: content * c for i, c in enumerate(prim)}))
-
-
-def _dense(p: LaurentPoly) -> list[int]:
-    """Coefficients of t^{-min_exp} * p as an ascending dense list."""
-    lo, hi = p.min_exp, p.max_exp
-    out = [0] * (hi - lo + 1)
-    for e, c in p.terms():
-        out[e - lo] = c
-    return out
+    return normalize_unit(LaurentPoly._trimmed(0, [content * c for c in prim]))
 
 
 def _trim(f: list[int]) -> list[int]:
@@ -342,7 +323,7 @@ def _trim(f: list[int]) -> list[int]:
     return f
 
 
-def _content_primitive(f: list[int]) -> tuple[int, list[int]]:
+def _content_primitive(f: Sequence[int]) -> tuple[int, list[int]]:
     content = 0
     for c in f:
         content = math.gcd(content, c)
@@ -353,8 +334,7 @@ def _content_primitive(f: list[int]) -> tuple[int, list[int]]:
 
 
 def _pseudo_rem(f: list[int], g: list[int]) -> list[int]:
-    """Pseudo-remainder of f by g (both dense ascending, g nonzero)."""
-    f = _trim(list(f))
+    """Pseudo-remainder of f by g (ascending, last coefficients nonzero)."""
     lead = g[-1]
     dg = len(g) - 1
     while f and len(f) - 1 >= dg:
@@ -368,7 +348,6 @@ def _pseudo_rem(f: list[int], g: list[int]) -> list[int]:
 
 
 def _primitive_gcd(f: list[int], g: list[int]) -> list[int]:
-    f, g = _trim(list(f)), _trim(list(g))
     if len(f) < len(g):
         f, g = g, f
     while g:
@@ -494,15 +473,12 @@ class Matrix:
         )
 
     def det(self) -> Ring:
-        """Exact determinant: cofactor expansion for n <= 3, fraction-free
-        (Bareiss) elimination beyond; both stay inside the entry ring."""
+        """Exact determinant by fraction-free (Bareiss) elimination, which
+        stays inside the entry ring; the 0x0 determinant is 1."""
         if self.rows != self.cols:
             raise ValueError("determinant of a non-square matrix")
-        n = self.rows
-        if n == 0:
+        if self.rows == 0:
             return 1
-        if n <= 3:
-            return _det_cofactor(self._data)
         return _det_bareiss([list(row) for row in self._data])
 
     def __str__(self):
@@ -521,21 +497,6 @@ def _dot(arow, bcol):
     return total
 
 
-def _det_cofactor(data):
-    n = len(data)
-    if n == 1:
-        return data[0][0]
-    if n == 2:
-        (a, b), (c, d) = data
-        return a * d - b * c
-    (a, b, c), (d, e, f), (g, h, i) = data
-    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
-
-
-def _entry_is_zero(x) -> bool:
-    return x.is_zero if isinstance(x, LaurentPoly) else x == 0
-
-
 def _entry_div_exact(a, b):
     if isinstance(a, LaurentPoly) or isinstance(b, LaurentPoly):
         return divide_exact(a, b)
@@ -551,9 +512,9 @@ def _det_bareiss(a):
     sign = 1
     prev = 1
     for k in range(n - 1):
-        if _entry_is_zero(a[k][k]):
+        if not a[k][k]:
             for r in range(k + 1, n):
-                if not _entry_is_zero(a[r][k]):
+                if a[r][k]:
                     a[k], a[r] = a[r], a[k]
                     sign = -sign
                     break
@@ -620,8 +581,8 @@ def smith_invariant_factors(mat: Matrix) -> list[int]:
     """Nonzero diagonal of the Smith normal form of an integer matrix.
 
     Returns [d1, ..., dr] with d1 | d2 | ... | dr, each positive; r is the
-    rank.  Pivot choice is minimal absolute value, with a divisibility
-    sweep so the chain condition holds without a separate pass.
+    rank.  Pivot choice is minimal absolute value; elimination leaves a
+    diagonal, and a gcd/lcm pass over it yields the divisor chain.
     """
     a = []
     for row in mat.entries():
@@ -644,9 +605,9 @@ def smith_invariant_factors(mat: Matrix) -> list[int]:
             for row in a:
                 row[k], row[pj] = row[pj], row[k]
         while True:
-            # clear column k, then row k; restart whenever a smaller
-            # remainder becomes the better pivot
-            restart = False
+            # clear column k with row operations, then row k with column
+            # operations; a remainder smaller than the pivot is swapped in
+            # as the new pivot, which can refill column k, so repeat
             for i in range(k + 1, nr):
                 while a[i][k]:
                     q = a[i][k] // a[k][k]
@@ -662,29 +623,12 @@ def smith_invariant_factors(mat: Matrix) -> list[int]:
                     if a[k][j]:
                         for row in a:
                             row[k], row[j] = row[j], row[k]
-                        restart = True
-                if restart:
-                    break
-            if restart:
-                continue
-            if any(a[i][k] for i in range(k + 1, nr)):
-                continue
-            # divisibility sweep: fold any non-multiple into the pivot row
-            offender = None
-            for i in range(k + 1, nr):
-                for j in range(k + 1, nc):
-                    if a[i][j] % a[k][k]:
-                        offender = i
-                        break
-                if offender is not None:
-                    break
-            if offender is None:
+            if not any(a[i][k] for i in range(k + 1, nr)):
                 break
-            for j in range(k, nc):
-                a[k][j] += a[offender][j]
         k += 1
+    # the matrix is now diagonal; replacing each pair (d_i, d_j) by (gcd,
+    # lcm) keeps the group and turns any diagonal into the divisor chain
     factors = [abs(a[i][i]) for i in range(k)]
-    # chain is guaranteed by the sweep; keep a cheap canonical fix anyway
     for i in range(len(factors)):
         for j in range(i + 1, len(factors)):
             if factors[j] % factors[i]:

@@ -100,6 +100,32 @@ def test_non_ascii_integer_exits_2(argv, capsys):
     assert capsys.readouterr().out == ""
 
 
+NINES = "9" * 5000  # past the 4300 digits int() converts
+LONG = "9" * 4300  # converts, but the strand count it implies would not
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["wheel", NINES],
+        ["colorgroup", "1 " + NINES],
+        ["colorgroup", "1 " + LONG],
+        ["wheel", LONG],
+        ["colorgroup", "1", "--strands", LONG],
+        ["colorgroup", json.dumps({"letters": [NINES]})],
+    ],
+)
+def test_oversized_integer_exits_2_with_a_short_message(argv, capsys):
+    with pytest.raises(SystemExit) as info:
+        cli.main(argv)
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "_ascii_int" not in captured.err
+    assert "9" * 100 not in captured.err
+    assert len(captured.err) < 400
+
+
 def test_colorgroup_json_braid_input(capsys):
     code, out = run(["colorgroup", '{"strands": 3, "letters": [1, -2, 1, -2, 1, -2]}'], capsys)
     assert code == 0

@@ -390,3 +390,129 @@ def test_to_str_forms():
     assert (-T).to_str() == "-t"
     assert LaurentPoly({-2: 2}).to_str() == "2*t^-2"
     assert LaurentPoly({0: 1, 1: -1, -1: -1}).to_str("z") == "-z^-1+1-z"
+
+
+# -- differential tests against sympy ----------------------------------------
+#
+# sympy works in Z[t], so each Laurent polynomial is multiplied by t^SHIFT
+# first; SHIFT exceeds every negative exponent rand_laurent produces.
+
+SHIFT = 12
+
+
+@pytest.fixture(scope="module")
+def sp():
+    return pytest.importorskip("sympy")
+
+
+def rand_laurent(rng, size=12, low=-10):
+    """Dense-ish Laurent polynomial: interior zeros, any sign, small or
+    big-integer coefficients, lowest exponent in [low, 10]."""
+    lo = rng.randint(low, 10)
+    bound = rng.choice((3, 10**25))
+    return LaurentPoly(
+        {lo + i: rng.randint(-bound, bound) for i in range(rng.randint(0, size)) if rng.random() < 0.8}
+    )
+
+
+def to_sympy(sp, p, shift=SHIFT):
+    t = sp.Symbol("t")
+    return sp.Poly(sum((c * t ** (e + shift) for e, c in p.terms()), sp.Integer(0)), t)
+
+
+def from_sympy(poly, shift=SHIFT):
+    return LaurentPoly({e - shift: int(c) for (e,), c in poly.terms()})
+
+
+def test_arithmetic_matches_sympy(sp):
+    rng = random.Random(2024)
+    for _ in range(400):
+        a, b = rand_laurent(rng), rand_laurent(rng)
+        sa, sb = to_sympy(sp, a), to_sympy(sp, b)
+        assert a * b == from_sympy(sa * sb, 2 * SHIFT)
+        assert a + b == from_sympy(sa + sb)
+        assert a - b == from_sympy(sa - sb)
+
+
+def test_cancelling_sums_are_canonical():
+    rng = random.Random(2025)
+    for _ in range(200):
+        a, b = rand_laurent(rng), rand_laurent(rng)
+        total = (a + b) - b
+        assert total == a and hash(total) == hash(a) and str(total) == str(a)
+        assert (a - a).is_zero and a - a == LaurentPoly.zero()
+
+
+def test_divide_exact_matches_sympy(sp):
+    rng = random.Random(2026)
+    inexact = 0
+    for _ in range(300):
+        b = rand_laurent(rng, size=5)
+        if b.is_zero:
+            continue
+        a = rand_laurent(rng, size=6) * b if rng.random() < 0.5 else rand_laurent(rng)
+        if a.is_zero:
+            continue
+        # in Z[t^(+/-1)], b | a exactly when b / t^min | a / t^min in Z[t]
+        fa, fb = to_sympy(sp, a, -a.min_exp), to_sympy(sp, b, -b.min_exp)
+        q, r = sp.div(fa, fb, domain=sp.QQ)
+        if r.is_zero and all(c.is_integer for c in q.coeffs()):
+            assert divide_exact(a, b) == from_sympy(q, b.min_exp - a.min_exp)
+        else:
+            inexact += 1
+            with pytest.raises(InexactDivisionError):
+                divide_exact(a, b)
+    assert inexact > 50
+
+
+def test_gcd_matches_sympy(sp):
+    rng = random.Random(2027)
+    for _ in range(200):
+        g = rand_laurent(rng, size=4) if rng.random() < 0.7 else ONE
+        a, b = g * rand_laurent(rng, size=6), g * rand_laurent(rng, size=6)
+        if a.is_zero or b.is_zero:
+            continue
+        fa, fb = to_sympy(sp, a, -a.min_exp), to_sympy(sp, b, -b.min_exp)
+        assert laurent_gcd(a, b) == normalize_unit(from_sympy(sp.gcd(fa, fb), 0))
+
+
+def _det_by_sympy(sp, m):
+    n = m.rows
+    shifted = sp.Matrix(n, n, lambda i, j: to_sympy(sp, m[i, j]).as_expr())
+    return from_sympy(sp.Poly(shifted.det(method="berkowitz"), sp.Symbol("t")), n * SHIFT)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_det_matches_sympy(sp, n):
+    # a zero first pivot makes elimination swap rows; a zero first column
+    # makes the determinant vanish before elimination ends
+    rng = random.Random(2028 + n)
+    for case in range(12):
+        rows = [[rand_laurent(rng, size=3, low=-3) for _ in range(n)] for _ in range(n)]
+        if case % 3 == 1:
+            rows[0][0] = LaurentPoly.zero()
+        elif case % 3 == 2:
+            for row in rows:
+                row[0] = LaurentPoly.zero()
+        m = Matrix(rows)
+        assert m.det() == _det_by_sympy(sp, m)
+        ints = Matrix([[p.at_minus_one() for p in row] for row in rows])
+        assert ints.det() == sp.Matrix([list(r) for r in ints.entries()]).det()
+
+
+def test_snf_matches_sympy(sp):
+    from sympy.matrices.normalforms import invariant_factors
+
+    rng = random.Random(2029)
+    for case in range(300):
+        nr, nc = rng.randint(1, 6), rng.randint(1, 6)
+        bound = rng.choice((2, 9, 10**6))
+        rows = [[rng.randint(-bound, bound) for _ in range(nc)] for _ in range(nr)]
+        if case % 4 == 1:
+            rows[rng.randrange(nr)] = [0] * nc
+        elif case % 4 == 2:
+            j = rng.randrange(nc)
+            for row in rows:
+                row[j] = 0
+        expected = [abs(int(d)) for d in invariant_factors(sp.Matrix(rows)) if d]
+        assert smith_invariant_factors(Matrix(rows)) == expected
