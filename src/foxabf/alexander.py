@@ -76,12 +76,6 @@ class ModulePresentation:
     det_a_prime: LaurentPoly | None = None
 
 
-def reduced_abf_matrix(word: BraidWord, drop_index: int | None = None) -> Matrix:
-    """burau(word) - Id with row/column ``drop_index`` (1-based, default
-    the last strand) deleted."""
-    return reduced_relation_matrix(word, drop_index)
-
-
 def alexander_polynomial(word: BraidWord) -> LaurentPoly:
     """Normalized generator of the maximal-minor ideal of the reduced
     presentation; 1 for the unknot, 0 when the determinant vanishes."""
@@ -91,7 +85,7 @@ def alexander_polynomial(word: BraidWord) -> LaurentPoly:
 def general_presentation(word: BraidWord, drop_index: int | None = None) -> ModulePresentation:
     """Presentation + Alexander polynomial for an arbitrary braid word
     (no cyclic decomposition)."""
-    matrix = reduced_abf_matrix(word, drop_index)
+    matrix = reduced_relation_matrix(word, drop_index)
     det = matrix.det()
     det = LaurentPoly.const(det) if isinstance(det, int) else det
     alexander = LaurentPoly.zero() if det.is_zero else normalize_unit(det)
@@ -225,4 +219,4 @@ def wheel_module(n: int) -> ModulePresentation:
 def wheel_reduced_burau_matrix(n: int) -> Matrix:
     """Burau-route presentation with the middle strand dropped; the
     independent check of the closed form (equal determinants)."""
-    return reduced_abf_matrix(wheel_braid(n), drop_index=2)
+    return reduced_relation_matrix(wheel_braid(n), drop_index=2)

@@ -27,7 +27,7 @@ import re
 from dataclasses import dataclass
 
 from .ring import LaurentPoly, Matrix
-from .sequences import IdentityCheck
+from .sequences import IdentityCheck, _run_cases
 
 # Largest strand count parse_braid accepts: Burau matrices are s x s, and
 # the reduced presentations are reduced by determinant and Smith normal
@@ -279,12 +279,7 @@ def burau_property_check(cases: int = 120, seed: int = 9151) -> IdentityCheck:
                 lhs = burau(BraidWord(s, (i, j)))
                 rhs = burau(BraidWord(s, (j, i)))
                 results.append((f"far commutation s={s}, i={i}, j={j}", lhs == rhs))
-    count = 0
-    for label, ok in results:
-        count += 1
-        if not ok:
-            return IdentityCheck("burau_properties", count, label)
-    return IdentityCheck("burau_properties", count)
+    return _run_cases("burau_properties", results)
 
 
 def reduced_relation_matrix(

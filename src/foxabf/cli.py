@@ -26,11 +26,12 @@ from .wheel import (
 )
 
 # Largest indices the CLI accepts.  Exact wheel arithmetic at index n
-# costs about n^3, a table from 1 about to^4 and verify about max_n^4 (the
-# identity suite about max_index^3); past these bounds one request runs
-# for minutes.
+# costs about n^3, a table the sum of n^3 over its rows and verify about
+# max_n^4 (the identity suite about max_index^3); past these bounds one
+# request runs for minutes.
 MAX_WHEEL_INDEX = 800
 MAX_TABLE_INDEX = 300
+MAX_TABLE_CUBES = 984_390_625  # sum of n^3 for n = 1..250
 MAX_VERIFY_N = 120
 MAX_IDENTITY_INDEX = 120
 
@@ -222,8 +223,12 @@ def _cmd_table(parser, args) -> int:
         parser.error("need 1 <= --from <= --to")
     if args.to_n > MAX_TABLE_INDEX:
         parser.error(f"--to {_echo(args.to_n)} exceeds the limit of {MAX_TABLE_INDEX}")
+    indices = range(args.from_n, args.to_n + 1)
+    cubes = sum(n**3 for n in indices)
+    if cubes > MAX_TABLE_CUBES:
+        parser.error(f"the range's sum of n^3, {cubes}, exceeds the limit of {MAX_TABLE_CUBES}")
     rows = []
-    for n in range(args.from_n, args.to_n + 1):
+    for n in indices:
         group = fox_closed_form(n)
         module = wheel_module(n)
         rows.append(

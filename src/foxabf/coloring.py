@@ -20,31 +20,17 @@ from __future__ import annotations
 
 import itertools
 import math
-import os
 from dataclasses import dataclass
 
-from .braid import BraidWord, reduced_relation_matrix
+from .braid import BraidWord, _echo, reduced_relation_matrix
 from .ring import AbelianGroup, Matrix, snf
 
-ENUMERATION_CAP_ENV = "FOXABF_BRUTE_FORCE_CAP"
-DEFAULT_ENUMERATION_CAP = 10**7
+# Most assignments brute_force_coloring_count enumerates: modulus**strands.
+ENUMERATION_CAP = 10**7
 
 
 class EnumerationLimitError(ValueError):
-    """Brute-force enumeration would exceed the configured cap."""
-
-
-def enumeration_cap() -> int:
-    raw = os.environ.get(ENUMERATION_CAP_ENV)
-    if raw is None:
-        return DEFAULT_ENUMERATION_CAP
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise ValueError(f"{ENUMERATION_CAP_ENV} must be an integer, got {raw!r}") from None
-    if cap < 1:
-        raise ValueError(f"{ENUMERATION_CAP_ENV} must be positive")
-    return cap
+    """Brute-force enumeration would exceed ENUMERATION_CAP."""
 
 
 @dataclass(frozen=True)
@@ -54,16 +40,10 @@ class ColoringResult:
     reduced_matrix: Matrix
 
 
-def reduced_relation_matrix_int(word: BraidWord, drop_index: int | None = None) -> Matrix:
-    """burau(word) at t = -1, minus Id, with row/column ``drop_index``
-    (1-based, default the last strand) deleted."""
-    return reduced_relation_matrix(word, drop_index, at_minus_one=True)
-
-
 def coloring_group(word: BraidWord, drop_index: int | None = None) -> ColoringResult:
     """Reduced Fox coloring group of the closure, as SNF invariant factors;
     the determinant is the group order (0 when the group is infinite)."""
-    reduced = reduced_relation_matrix_int(word, drop_index)
+    reduced = reduced_relation_matrix(word, drop_index, at_minus_one=True)
     group = snf(reduced)
     return ColoringResult(group=group, determinant=group.order(), reduced_matrix=reduced)
 
@@ -73,16 +53,21 @@ def brute_force_coloring_count(word: BraidWord, modulus: int) -> int:
     counted by exhaustive enumeration over the top arcs."""
     if modulus < 2:
         raise ValueError("modulus must be at least 2")
-    total = modulus**word.strands
-    cap = enumeration_cap()
-    if total > cap:
+    strands = word.strands
+    # modulus**strands >= 2**((bits - 1) * strands): past the cap's bit
+    # length the power is refused unformed, as it may be too large to print
+    if (modulus.bit_length() - 1) * strands >= ENUMERATION_CAP.bit_length():
         raise EnumerationLimitError(
-            f"{modulus}^{word.strands} = {total} assignments exceed the cap {cap} "
-            f"(override via {ENUMERATION_CAP_ENV})"
+            f"{_echo(modulus)}^{strands} assignments exceed the cap {ENUMERATION_CAP}"
+        )
+    total = modulus**strands
+    if total > ENUMERATION_CAP:
+        raise EnumerationLimitError(
+            f"{modulus}^{strands} = {total} assignments exceed the cap {ENUMERATION_CAP}"
         )
     ops = [(abs(letter) - 1, letter > 0) for letter in word.letters]
     count = 0
-    for top in itertools.product(range(modulus), repeat=word.strands):
+    for top in itertools.product(range(modulus), repeat=strands):
         x = list(top)
         for i, positive in ops:
             a, b = x[i], x[i + 1]

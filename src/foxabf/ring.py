@@ -294,68 +294,6 @@ def divide_exact(a: Ring, b: Ring) -> LaurentPoly:
     return LaurentPoly._of(pa._lo - pb._lo, tuple(quot))
 
 
-def laurent_gcd(a: Ring, b: Ring) -> LaurentPoly:
-    """gcd in Z[t^(+/-1)], returned in normalize_unit form.
-
-    Clears powers of t, then uses content/primitive-part gcd over Z[t]
-    (primitive pseudo-remainder sequence); well defined up to units since
-    Z[t] is a UFD.
-    """
-    pa, pb = LaurentPoly._coerce(a), LaurentPoly._coerce(b)
-    if pa is None or pb is None:
-        raise TypeError("expected ints or LaurentPolys")
-    if pa.is_zero and pb.is_zero:
-        raise ValueError("gcd(0, 0) is undefined")
-    if pa.is_zero:
-        return normalize_unit(pb)
-    if pb.is_zero:
-        return normalize_unit(pa)
-    ca, fa = _content_primitive(pa._coeffs)
-    cb, fb = _content_primitive(pb._coeffs)
-    content = math.gcd(ca, cb)
-    prim = _primitive_gcd(fa, fb)
-    return normalize_unit(LaurentPoly._trimmed(0, [content * c for c in prim]))
-
-
-def _trim(f: list[int]) -> list[int]:
-    while f and f[-1] == 0:
-        f.pop()
-    return f
-
-
-def _content_primitive(f: Sequence[int]) -> tuple[int, list[int]]:
-    content = 0
-    for c in f:
-        content = math.gcd(content, c)
-    prim = [c // content for c in f]
-    if prim[-1] < 0:
-        prim = [-c for c in prim]
-    return content, prim
-
-
-def _pseudo_rem(f: list[int], g: list[int]) -> list[int]:
-    """Pseudo-remainder of f by g (ascending, last coefficients nonzero)."""
-    lead = g[-1]
-    dg = len(g) - 1
-    while f and len(f) - 1 >= dg:
-        top = f[-1]
-        k = len(f) - 1 - dg
-        f = [lead * c for c in f]
-        for j, c in enumerate(g):
-            f[k + j] -= top * c
-        _trim(f)
-    return f
-
-
-def _primitive_gcd(f: list[int], g: list[int]) -> list[int]:
-    if len(f) < len(g):
-        f, g = g, f
-    while g:
-        r = _pseudo_rem(f, g)
-        f, g = g, (_content_primitive(r)[1] if r else [])
-    return _content_primitive(f)[1]
-
-
 # ---------------------------------------------------------------------------
 # Matrices
 # ---------------------------------------------------------------------------
@@ -366,19 +304,15 @@ class Matrix:
 
     __slots__ = ("rows", "cols", "_data")
 
-    def __init__(self, rows: Iterable[Iterable], shape: tuple[int, int] | None = None):
+    def __init__(self, rows: Iterable[Iterable]):
+        """Rows of equal, nonzero length; no rows at all is the 0x0 matrix."""
         data = tuple(tuple(row) for row in rows)
-        if data:
-            nrows, ncols = len(data), len(data[0])
-            if any(len(row) != ncols for row in data):
-                raise ValueError("rows must all have the same length")
-            if ncols == 0:
-                raise ValueError("rows must be non-empty")
-        else:
-            nrows, ncols = shape if shape is not None else (0, 0)
-            if nrows or ncols:
-                raise ValueError("empty data only supports the 0x0 shape")
-        self.rows = nrows
+        ncols = len(data[0]) if data else 0
+        if any(len(row) != ncols for row in data):
+            raise ValueError("rows must all have the same length")
+        if data and ncols == 0:
+            raise ValueError("rows must be non-empty")
+        self.rows = len(data)
         self.cols = ncols
         self._data = data
 
@@ -387,18 +321,9 @@ class Matrix:
         zero = one * 0
         return cls([[one if i == j else zero for j in range(n)] for i in range(n)])
 
-    @classmethod
-    def zeros(cls, nrows: int, ncols: int, zero: Ring = 0) -> "Matrix":
-        if nrows == 0 or ncols == 0:
-            return cls([], shape=(0, 0))
-        return cls([[zero] * ncols for _ in range(nrows)])
-
     def __getitem__(self, key: tuple[int, int]):
         i, j = key
         return self._data[i][j]
-
-    def row(self, i: int) -> tuple:
-        return self._data[i]
 
     def entries(self) -> tuple[tuple, ...]:
         return self._data
@@ -415,26 +340,14 @@ class Matrix:
     def __hash__(self):
         return hash((self.rows, self.cols, self._data))
 
-    def __add__(self, other):
-        if not isinstance(other, Matrix):
-            return NotImplemented
-        self._check_same_shape(other)
-        return Matrix(
-            [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self._data, other._data)],
-            shape=(self.rows, self.cols),
-        )
-
     def __sub__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
-        self._check_same_shape(other)
+        if (self.rows, self.cols) != (other.rows, other.cols):
+            raise ValueError("matrix dimensions do not match")
         return Matrix(
-            [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(self._data, other._data)],
-            shape=(self.rows, self.cols),
+            [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(self._data, other._data)]
         )
-
-    def __neg__(self):
-        return Matrix([[-a for a in row] for row in self._data], shape=(self.rows, self.cols))
 
     def __mul__(self, other):
         if not isinstance(other, Matrix):
@@ -447,21 +360,17 @@ class Matrix:
         out = []
         for arow in self._data:
             out.append([_dot(arow, bcol) for bcol in bt])
-        return Matrix(out, shape=(self.rows, other.cols))
-
-    def _check_same_shape(self, other: "Matrix") -> None:
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("matrix dimensions do not match")
+        return Matrix(out)
 
     def map(self, fn: Callable) -> "Matrix":
-        return Matrix([[fn(a) for a in row] for row in self._data], shape=(self.rows, self.cols))
+        return Matrix([[fn(a) for a in row] for row in self._data])
 
     def delete_row_col(self, i: int, j: int) -> "Matrix":
         """Matrix with row i and column j removed (0-based)."""
         if not (0 <= i < self.rows and 0 <= j < self.cols):
             raise IndexError("row/column index out of range")
         if self.rows == 1 and self.cols == 1:
-            return Matrix([], shape=(0, 0))
+            return Matrix([])
         if self.rows == 1 or self.cols == 1:
             raise ValueError("result would be empty in one dimension only")
         return Matrix(

@@ -186,14 +186,6 @@ class IdentityReport:
     def all_passed(self) -> bool:
         return all(c.passed for c in self.checks)
 
-    def summary_lines(self) -> list[str]:
-        lines = []
-        for c in self.checks:
-            status = "ok " if c.passed else "FAIL"
-            detail = "" if c.passed else f"  first counterexample: {c.counterexample}"
-            lines.append(f"{status} {c.name} ({c.cases} cases){detail}")
-        return lines
-
 
 def _sign(k: int) -> int:
     return -1 if k % 2 else 1

@@ -29,7 +29,7 @@ from .coloring import (
     coloring_group,
 )
 from .ring import AbelianGroup, Matrix, normalize_unit, snf
-from .sequences import IdentityCheck, cheb_S_at, fib, lucas
+from .sequences import IdentityCheck, _run_cases, cheb_S_at, fib, lucas
 
 
 @dataclass(frozen=True)
@@ -172,29 +172,29 @@ def cross_verify(n: int, brute_force_moduli: tuple[int, ...] = ()) -> WheelRepor
 def wheel_matrix_routes_check(max_n: int) -> IdentityCheck:
     """Recursive and closed wheel matrices agree entrywise for n <= max_n,
     and for n <= 15 the closed determinant matches the Burau route's."""
-    cases = 0
-    for n in range(1, max_n + 1):
-        cases += 1
-        closed = wheel_abf_matrix_closed(n)
-        if wheel_abf_matrix_recursive(n) != closed:
-            return IdentityCheck("wheel_matrix_routes", cases, f"n={n} (recursive != closed)")
-        if n <= 15:
-            det_closed = normalize_unit(closed.det())
-            det_burau = normalize_unit(wheel_reduced_burau_matrix(n).det())
-            if det_closed != det_burau:
-                return IdentityCheck(
-                    "wheel_matrix_routes", cases, f"n={n} (closed det != burau det)"
-                )
-    return IdentityCheck("wheel_matrix_routes", cases)
+
+    def cases():
+        for n in range(1, max_n + 1):
+            closed = wheel_abf_matrix_closed(n)
+            if wheel_abf_matrix_recursive(n) != closed:
+                yield f"n={n} (recursive != closed)", False
+            elif n <= 15 and normalize_unit(closed.det()) != normalize_unit(
+                wheel_reduced_burau_matrix(n).det()
+            ):
+                yield f"n={n} (closed det != burau det)", False
+            else:
+                yield f"n={n}", True
+
+    return _run_cases("wheel_matrix_routes", cases())
 
 
 def wheel_cross_verify_check(max_n: int) -> IdentityCheck:
     """cross_verify, with brute force mod 2, 3 and 5, is consistent for
     every n <= max_n."""
-    cases = 0
-    for n in range(1, max_n + 1):
-        cases += 1
-        report = cross_verify(n, brute_force_moduli=(2, 3, 5))
-        if not report.all_consistent:
-            return IdentityCheck("wheel_cross_verify", cases, f"n={n}")
-    return IdentityCheck("wheel_cross_verify", cases)
+    return _run_cases(
+        "wheel_cross_verify",
+        (
+            (f"n={n}", cross_verify(n, brute_force_moduli=(2, 3, 5)).all_consistent)
+            for n in range(1, max_n + 1)
+        ),
+    )

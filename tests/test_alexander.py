@@ -6,7 +6,6 @@ import pytest
 from foxabf.alexander import (
     alexander_polynomial,
     general_presentation,
-    reduced_abf_matrix,
     wheel_abf_matrix_closed,
     wheel_abf_matrix_recursive,
     wheel_euclidean_reduction,
@@ -14,7 +13,7 @@ from foxabf.alexander import (
     wheel_module,
     wheel_reduced_burau_matrix,
 )
-from foxabf.braid import BraidWord, parse_braid, wheel_braid
+from foxabf.braid import BraidWord, parse_braid, reduced_relation_matrix, wheel_braid
 from foxabf.coloring import coloring_group
 from foxabf.ring import LaurentPoly, Matrix, divide_exact, normalize_unit, snf
 from foxabf.sequences import cheb_S_subst, fib
@@ -30,22 +29,22 @@ DET_EVEN = 3 - T - TI  # det A' for even n
 
 
 def test_identity_braid_two_strands():
-    assert reduced_abf_matrix(BraidWord(2)) == Matrix([[LaurentPoly.zero()]])
+    assert reduced_relation_matrix(BraidWord(2)) == Matrix([[LaurentPoly.zero()]])
 
 
 def test_wheel_two_drop_middle_det():
-    m = reduced_abf_matrix(wheel_braid(2), drop_index=2)
+    m = reduced_relation_matrix(wheel_braid(2), drop_index=2)
     assert normalize_unit(m.det()) == normalize_unit(DET_EVEN)
 
 
 def test_wheel_one_det_is_unit():
-    det = reduced_abf_matrix(wheel_braid(1)).det()
+    det = reduced_relation_matrix(wheel_braid(1)).det()
     assert det.is_unit()
 
 
 def test_drop_index_validation():
     with pytest.raises(ValueError):
-        reduced_abf_matrix(wheel_braid(1), drop_index=5)
+        reduced_relation_matrix(wheel_braid(1), drop_index=5)
 
 
 # -- Alexander polynomial ---------------------------------------------------------

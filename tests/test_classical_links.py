@@ -6,8 +6,8 @@ import math
 import random
 from itertools import combinations
 
-from foxabf.alexander import alexander_polynomial, reduced_abf_matrix
-from foxabf.braid import BraidWord
+from foxabf.alexander import alexander_polynomial
+from foxabf.braid import BraidWord, reduced_relation_matrix
 from foxabf.coloring import coloring_group
 from foxabf.ring import AbelianGroup, LaurentPoly, Matrix, normalize_unit, snf
 
@@ -57,7 +57,7 @@ def test_alexander_drop_index_invariance():
             rng.choice((1, -1)) * rng.randint(1, strands - 1) for _ in range(length)
         )
         word = BraidWord(strands, letters)
-        dets = [reduced_abf_matrix(word, drop_index=d).det() for d in range(1, strands + 1)]
+        dets = [reduced_relation_matrix(word, drop_index=d).det() for d in range(1, strands + 1)]
         if any(d.is_zero for d in dets):
             assert all(d.is_zero for d in dets)
         else:
@@ -102,3 +102,35 @@ def test_snf_oracle_on_wheel_matrices():
     for n in range(1, 13):
         m = fibonacci_relation_matrix(n)
         assert snf_via_determinantal_divisors(m) == fox_closed_form(n)
+
+
+# -- Markov invariance -----------------------------------------------------------
+
+
+def markov_words(seed, count=120):
+    """Seeded words on 2..6 strands with up to 20 letters each."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        strands = rng.randint(2, 6)
+        length = rng.randint(0, 20)
+        letters = tuple(rng.choice((1, -1)) * rng.randint(1, strands - 1) for _ in range(length))
+        yield rng, BraidWord(strands, letters)
+
+
+def assert_same_invariants(word, moved):
+    # alexander_polynomial is the canonical associate: equal means equal up to units
+    assert coloring_group(moved).group == coloring_group(word).group, (word, moved)
+    assert alexander_polynomial(moved) == alexander_polynomial(word), (word, moved)
+
+
+def test_markov_conjugation_by_a_letter():
+    for rng, word in markov_words(6061):
+        letter = rng.choice((1, -1)) * rng.randint(1, word.strands - 1)
+        assert_same_invariants(word, BraidWord(word.strands, (letter, *word.letters, -letter)))
+
+
+def test_markov_stabilization():
+    # w on s strands -> w * sigma_s^(+-1) on s + 1 strands
+    for rng, word in markov_words(6062):
+        last = rng.choice((1, -1)) * word.strands
+        assert_same_invariants(word, BraidWord(word.strands + 1, (*word.letters, last)))

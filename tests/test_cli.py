@@ -6,7 +6,6 @@ import sys
 import pytest
 
 from foxabf import alexander, cli
-from foxabf.coloring import ENUMERATION_CAP_ENV
 from foxabf.sequences import IdentityCheck
 
 
@@ -113,6 +112,7 @@ LONG = "9" * 4300  # converts, but the strand count it implies would not
         ["wheel", LONG],
         ["colorgroup", "1", "--strands", LONG],
         ["colorgroup", json.dumps({"letters": [NINES]})],
+        ["wheel", "3", "--moduli", "9" * 2000],
     ],
 )
 def test_oversized_integer_exits_2_with_a_short_message(argv, capsys):
@@ -178,11 +178,11 @@ def test_wheel_zero_exits_2(capsys):
     assert info.value.code == 2
 
 
-def test_wheel_enumeration_cap_exits_2(capsys, monkeypatch):
-    monkeypatch.setenv(ENUMERATION_CAP_ENV, "10")
+def test_wheel_enumeration_cap_exits_2(capsys):
     with pytest.raises(SystemExit) as info:
-        cli.main(["wheel", "2", "--moduli", "5"])
+        cli.main(["wheel", "2", "--moduli", "216"])  # 216^3 > 10^7 assignments
     assert info.value.code == 2
+    assert "216^3 = 10077696 assignments exceed the cap 10000000" in capsys.readouterr().err
 
 
 def test_wheel_computes_the_module_once(capsys, monkeypatch):
@@ -198,6 +198,8 @@ def test_wheel_computes_the_module_once(capsys, monkeypatch):
     [
         ["wheel", str(cli.MAX_WHEEL_INDEX + 1)],
         ["table", "--from", "1", "--to", str(cli.MAX_TABLE_INDEX + 1)],
+        ["table", "--from", "1", "--to", "251"],  # sum of n^3 one row past the limit
+        ["table", "--from", "2", "--to", "300"],
         ["verify", "--max-n", str(cli.MAX_VERIFY_N + 1)],
         ["verify", "--max-index", str(cli.MAX_IDENTITY_INDEX + 1)],
     ],
@@ -207,6 +209,10 @@ def test_index_over_its_limit_exits_2(argv, capsys):
         cli.main(argv)
     assert info.value.code == 2
     assert capsys.readouterr().out == ""
+
+
+def test_table_cube_limit_is_the_range_1_to_250():
+    assert sum(n**3 for n in range(1, 251)) == cli.MAX_TABLE_CUBES
 
 
 # -- verify ---------------------------------------------------------------------------

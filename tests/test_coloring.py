@@ -4,15 +4,13 @@ import random
 
 import pytest
 
-from foxabf.braid import BraidWord, parse_braid, wheel_braid
+from foxabf import coloring
+from foxabf.braid import BraidWord, parse_braid, reduced_relation_matrix, wheel_braid
 from foxabf.coloring import (
-    ENUMERATION_CAP_ENV,
     EnumerationLimitError,
     brute_force_coloring_count,
     coloring_count_from_group,
     coloring_group,
-    enumeration_cap,
-    reduced_relation_matrix_int,
 )
 from foxabf.ring import AbelianGroup, Matrix, snf
 from foxabf.sequences import fib
@@ -39,31 +37,31 @@ def fibonacci_presentation(n):
 
 
 def test_identity_braid_two_strands():
-    m = reduced_relation_matrix_int(BraidWord(2))
+    m = reduced_relation_matrix(BraidWord(2), at_minus_one=True)
     assert m == Matrix([[0]])
 
 
 def test_identity_braid_one_strand():
-    m = reduced_relation_matrix_int(BraidWord(1))
+    m = reduced_relation_matrix(BraidWord(1), at_minus_one=True)
     assert m.rows == 0 and m.cols == 0
 
 
 def test_wheel_two_det_five():
-    m = reduced_relation_matrix_int(wheel_braid(2))
+    m = reduced_relation_matrix(wheel_braid(2), at_minus_one=True)
     assert m.rows == 2 and abs(m.det()) == 5
 
 
 def test_drop_middle_matches_fibonacci_presentation():
     for n in range(1, 13):
-        reduced = reduced_relation_matrix_int(wheel_braid(n), drop_index=2)
+        reduced = reduced_relation_matrix(wheel_braid(n), drop_index=2, at_minus_one=True)
         assert snf(reduced) == snf(fibonacci_presentation(n))
 
 
 def test_drop_index_out_of_range():
     with pytest.raises(ValueError):
-        reduced_relation_matrix_int(wheel_braid(2), drop_index=4)
+        reduced_relation_matrix(wheel_braid(2), drop_index=4, at_minus_one=True)
     with pytest.raises(ValueError):
-        reduced_relation_matrix_int(wheel_braid(2), drop_index=0)
+        reduced_relation_matrix(wheel_braid(2), drop_index=0, at_minus_one=True)
 
 
 # -- coloring groups ----------------------------------------------------------
@@ -149,18 +147,14 @@ def test_oracle_agreement_corpus():
 
 
 def test_enumeration_cap_env(monkeypatch):
-    monkeypatch.setenv(ENUMERATION_CAP_ENV, "100")
-    assert enumeration_cap() == 100
+    # the cap is the constant ENUMERATION_CAP; no environment variable is read
+    assert coloring.ENUMERATION_CAP == 10**7
+    with pytest.raises(EnumerationLimitError, match="216\\^3 = 10077696 "):
+        brute_force_coloring_count(wheel_braid(2), 216)  # 216^3 > 10^7
+    with pytest.raises(EnumerationLimitError, match="\\.\\.\\. \\(2001 characters\\)\\^3 "):
+        brute_force_coloring_count(wheel_braid(2), 10**2000)  # refused unformed
+    monkeypatch.setattr(coloring, "ENUMERATION_CAP", 100)
     with pytest.raises(EnumerationLimitError):
         brute_force_coloring_count(wheel_braid(2), 5)  # 5^3 = 125 > 100
-    monkeypatch.setenv(ENUMERATION_CAP_ENV, "125")
+    monkeypatch.setattr(coloring, "ENUMERATION_CAP", 125)
     assert brute_force_coloring_count(wheel_braid(2), 5) == 25
-
-
-def test_enumeration_cap_invalid(monkeypatch):
-    monkeypatch.setenv(ENUMERATION_CAP_ENV, "many")
-    with pytest.raises(ValueError):
-        enumeration_cap()
-    monkeypatch.setenv(ENUMERATION_CAP_ENV, "0")
-    with pytest.raises(ValueError):
-        enumeration_cap()

@@ -11,7 +11,6 @@ from foxabf.ring import (
     LaurentPoly,
     Matrix,
     divide_exact,
-    laurent_gcd,
     normalize_unit,
     smith_invariant_factors,
     snf,
@@ -155,38 +154,6 @@ def test_divide_exact():
         divide_exact(T + 1, T - 1)
     with pytest.raises(ZeroDivisionError):
         divide_exact(T, LaurentPoly.zero())
-
-
-def test_gcd_with_zero():
-    p = 3 * T - 3
-    assert laurent_gcd(LaurentPoly.zero(), p) == normalize_unit(p)
-    assert laurent_gcd(p, LaurentPoly.zero()) == normalize_unit(p)
-    with pytest.raises(ValueError):
-        laurent_gcd(LaurentPoly.zero(), LaurentPoly.zero())
-
-
-def test_gcd_common_factor():
-    assert laurent_gcd(T - 1, T * T - 1) == normalize_unit(T - 1)
-
-
-def test_gcd_coprime_contents():
-    assert laurent_gcd(LaurentPoly.const(2), LaurentPoly.const(3)) == ONE
-
-
-def test_gcd_random_products():
-    # gcd(g*a, g*b) divides both inputs and is divisible by g,
-    # regardless of signs and t-power shifts
-    rng = random.Random(31)
-    for _ in range(60):
-        g, a, b = rand_poly(rng), rand_poly(rng), rand_poly(rng)
-        if g.is_zero or a.is_zero or b.is_zero:
-            continue
-        sign = -1 if rng.random() < 0.5 else 1
-        u, v = g * a * sign, (g * b).shift(rng.randint(-3, 3))
-        got = laurent_gcd(u, v)
-        divide_exact(u, got)
-        divide_exact(v, got)
-        divide_exact(got, g)
 
 
 # -- matrices ----------------------------------------------------------------
@@ -463,17 +430,6 @@ def test_divide_exact_matches_sympy(sp):
             with pytest.raises(InexactDivisionError):
                 divide_exact(a, b)
     assert inexact > 50
-
-
-def test_gcd_matches_sympy(sp):
-    rng = random.Random(2027)
-    for _ in range(200):
-        g = rand_laurent(rng, size=4) if rng.random() < 0.7 else ONE
-        a, b = g * rand_laurent(rng, size=6), g * rand_laurent(rng, size=6)
-        if a.is_zero or b.is_zero:
-            continue
-        fa, fb = to_sympy(sp, a, -a.min_exp), to_sympy(sp, b, -b.min_exp)
-        assert laurent_gcd(a, b) == normalize_unit(from_sympy(sp.gcd(fa, fb), 0))
 
 
 def _det_by_sympy(sp, m):
