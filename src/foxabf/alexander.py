@@ -31,11 +31,17 @@ presentation:
   3 - t - t^{-1} for even n, and det A_n equals the determinant of the
   Burau-route reduced matrix (middle strand dropped).
 
-wheel_euclidean_reduction divides the closed matrix by -g_n, replays the
-column operations that bring the first row to (g_{n+1}, g_{n-1}), then
-runs the Euclidean descent (col1 -= z*col2, negate, swap) down to (1, 0);
-the result is the cyclic decomposition with ideal generators
-(g_n, det(A'_n) * g_n).
+wheel_euclidean_reduction builds A'_n = A_n / (-g_n) directly from
+g_{n-1} and g_{n+1},
+
+      [ g_{n+1} + t^{-1}*g_{n-1}    -t^{-1}*g_{n-1}          ]
+      [ -t*g_{n+1}                  g_{n+1} + t*g_{n-1}      ]
+
+and checks it by multiplying back (-g_n * A'_n == A_n entrywise) instead
+of dividing; it then replays the column operations that bring the first
+row to (g_{n+1}, g_{n-1}), and runs the Euclidean descent
+(col1 -= z*col2, negate, swap) down to (1, 0); the result is the cyclic
+decomposition with ideal generators (g_n, det(A'_n) * g_n).
 """
 
 from __future__ import annotations
@@ -43,13 +49,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .braid import BraidWord, reduced_relation_matrix, wheel_braid
-from .ring import (
-    InexactDivisionError,
-    LaurentPoly,
-    Matrix,
-    divide_exact,
-    normalize_unit,
-)
+from .ring import LaurentPoly, Matrix, divide_exact, normalize_unit
 from .sequences import Z_OF_T, cheb_S_subst
 
 _T = LaurentPoly.t()
@@ -143,7 +143,9 @@ def wheel_euclidean_reduction(
 
     Returns ((g, h), det_a_prime) where g = g_n and h = det(A'_n) * g_n,
     both unit-normalized, and det_a_prime is the exact determinant of
-    A'_n = A_n / (-g_n): 1 for odd n, 3 - t - t^{-1} for even n.
+    A'_n = A_n / (-g_n): 1 for odd n, 3 - t - t^{-1} for even n.  A'_n is
+    built from g_{n-1} and g_{n+1}, not found by dividing; the reduction
+    checks that -g_n * A'_n equals A_n entrywise.
     """
     return _euclidean_reduction(n, wheel_abf_matrix_closed(n))
 
@@ -153,13 +155,20 @@ def _euclidean_reduction(
 ) -> tuple[tuple[LaurentPoly, LaurentPoly], LaurentPoly]:
     """wheel_euclidean_reduction on the closed matrix ``a`` = A_n."""
     g = wheel_g(n)
+    g_prev = wheel_g(n - 1)
+    g_next = wheel_g(n + 1)
+    aprime = Matrix(
+        [
+            [g_next + _T_INV * g_prev, -(_T_INV * g_prev)],
+            [-(_T * g_next), g_next + _T * g_prev],
+        ]
+    )
+    # multiplying back is as strong a check as dividing exactly by -g_n
     neg_g = -g
-    try:
-        aprime = a.map(lambda entry: divide_exact(entry, neg_g))
-    except InexactDivisionError as exc:
+    if aprime.map(lambda entry: neg_g * entry) != a:
         raise InternalConsistencyError(
             f"entries of the wheel matrix are not divisible by g_{n}"
-        ) from exc
+        )
     det_a_prime = aprime.det()
 
     # column replay: [col1, col2] with col = [top, bottom]

@@ -22,6 +22,7 @@ assumed.
 from __future__ import annotations
 
 import json
+import math
 import random
 import re
 from dataclasses import dataclass
@@ -40,6 +41,16 @@ _LETTER = re.compile(r"[+-]?[0-9]+")
 def _echo(value: object, limit: int = 20) -> str:
     """A value as an error message shows it (strings quoted), clipped past
     ``limit`` characters so an oversized argument is not echoed whole."""
+    if isinstance(value, int) and abs(value) >= 10**limit:
+        # str() refuses an int past 4300 digits: count the digits and take
+        # the leading ones arithmetically instead
+        magnitude = abs(value)
+        digits = int(magnitude.bit_length() * math.log10(2)) - 1  # below the count
+        while 10**digits <= magnitude:
+            digits += 1
+        sign = "-" if value < 0 else ""
+        shown = (sign + str(magnitude // 10 ** (digits - limit)))[:limit]
+        return f"{shown}... ({len(sign) + digits} characters)"
     text = str(value)
     shown = repr(text[:limit]) if isinstance(value, str) else text[:limit]
     return shown if len(text) <= limit else f"{shown}... ({len(text)} characters)"

@@ -6,12 +6,14 @@ entries up to F_400 and beyond are exact).  A Laurent polynomial is stored
 densely as ``(lo, coeffs)``: ``lo`` is the lowest exponent and ``coeffs``
 the tuple of coefficients of t^lo, t^(lo+1), ..., whose first and last
 entries are nonzero; zero is ``(0, ())``.  The form is canonical, so
-equality is tuple equality, and every ring operation has one code path.
-Storage grows with the exponent span, not the number of terms; every
-polynomial the library builds is dense (its span is bounded by the word
-length or the wheel index).  Matrices are immutable and work over either
-ring: entries may be ``int`` or ``LaurentPoly`` and mix freely, since ints
-coerce to constant polynomials.
+equality is tuple equality.  Storage grows with the exponent span, not
+the number of terms; every polynomial the library builds is dense (its
+span is bounded by the word length or the wheel index).  A product is a
+schoolbook convolution when the shorter operand has fewer than 8
+coefficients and one big-int multiplication (Kronecker substitution) from
+8 up; exact division is always schoolbook.  Matrices are immutable and
+work over either ring: entries may be ``int`` or ``LaurentPoly`` and mix
+freely, since ints coerce to constant polynomials.
 
 Everything in this module is a pure function over immutable values and is
 safe to call concurrently.
@@ -169,6 +171,8 @@ class LaurentPoly:
         if len(a) > len(b):
             a, b = b, a
         # over Z the end coefficients of the product are nonzero: no trim
+        if len(a) >= _KRONECKER_MIN_LEN:
+            return LaurentPoly._of(self._lo + other._lo, _kronecker_product(a, b))
         out = [0] * (len(a) + len(b) - 1)
         for i, ca in enumerate(a):
             if ca:
@@ -245,6 +249,39 @@ class LaurentPoly:
 
 
 Ring = Union[int, LaurentPoly]
+
+# shorter-operand length from which a product is one big-int multiplication;
+# below it the schoolbook loop is faster
+_KRONECKER_MIN_LEN = 8
+
+
+def _kronecker_product(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    """Coefficients of the product of the polynomials with coefficient
+    tuples ``a`` and ``b`` (len(a) <= len(b)), by Kronecker substitution.
+
+    Each operand becomes one int with a k-byte digit per coefficient, so a
+    single big-int product (Karatsuba in CPython) does the convolution.  A
+    product coefficient is a sum of len(a) terms, each of magnitude below
+    2^(bits of max|a| + bits of max|b|); 8k covers those bits, the bits of
+    len(a) and a sign bit, so every coefficient lies in [-2^(8k-1),
+    2^(8k-1)).  Adding 2^(8k-1) to every digit of the product then leaves
+    no carries, and the digits are read straight off the bytes.
+    """
+    bits = max(map(abs, a)).bit_length() + max(map(abs, b)).bit_length()
+    bits += len(a).bit_length() + 1  # a sum of len(a) terms, and the sign
+    k = (bits + 7) // 8
+    half = 1 << (8 * k - 1)
+    bias = half.to_bytes(k, "little")
+    n = len(a) + len(b) - 1
+    packed = _pack(a, k, half, bias) * _pack(b, k, half, bias)
+    raw = (packed + int.from_bytes(bias * n, "little")).to_bytes(n * k, "little")
+    return tuple([int.from_bytes(raw[i : i + k], "little") - half for i in range(0, n * k, k)])
+
+
+def _pack(coeffs: tuple[int, ...], k: int, half: int, bias: bytes) -> int:
+    """sum(coeffs[i] * 2^(8k*i)), each |coeff| below ``half`` = 2^(8k-1)."""
+    digits = b"".join([(c + half).to_bytes(k, "little") for c in coeffs])
+    return int.from_bytes(digits, "little") - int.from_bytes(bias * len(coeffs), "little")
 
 
 def normalize_unit(p: Ring) -> LaurentPoly:

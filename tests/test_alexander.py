@@ -4,6 +4,8 @@ routes, Euclidean reduction, and specialization to Fox colorings."""
 import pytest
 
 from foxabf.alexander import (
+    InternalConsistencyError,
+    _euclidean_reduction,
     alexander_polynomial,
     general_presentation,
     wheel_abf_matrix_closed,
@@ -183,6 +185,23 @@ def test_reduction_unknot():
     gens, det_a_prime = wheel_euclidean_reduction(1)
     assert gens == (ONE, ONE)
     assert det_a_prime == ONE
+
+
+@pytest.mark.parametrize("n", [3, 8, 25])
+def test_reduction_rejects_a_perturbed_matrix(n):
+    # A'_n is built from g_{n-1} and g_{n+1} and multiplied back by -g_n;
+    # an A_n off by 1 in one entry must not get past that check
+    rows = [list(row) for row in wheel_abf_matrix_closed(n).entries()]
+    for i, j in ((0, 0), (0, 1), (1, 0), (1, 1)):
+        for delta in (1, -1):
+            perturbed = [list(row) for row in rows]
+            perturbed[i][j] += delta
+            with pytest.raises(
+                InternalConsistencyError,
+                match=f"^entries of the wheel matrix are not divisible by g_{n}$",
+            ):
+                _euclidean_reduction(n, Matrix(perturbed))
+    assert _euclidean_reduction(n, Matrix(rows)) == wheel_euclidean_reduction(n)
 
 
 def test_det_a_prime_closed_forms_to_100():

@@ -9,6 +9,7 @@ from foxabf.braid import (
     MAX_STRANDS,
     BraidParseError,
     BraidWord,
+    _echo,
     burau,
     burau_at_minus_one,
     closure_components,
@@ -286,6 +287,24 @@ def test_parse_strand_limit():
         parse_braid(str(MAX_STRANDS))  # inferred count MAX_STRANDS + 1
     with pytest.raises(BraidParseError):
         parse_braid(f'{{"strands": {MAX_STRANDS + 1}, "letters": [1]}}')
+
+
+def test_strand_count_past_str_digit_limit_is_clipped():
+    # str() refuses an int of more than 4300 digits; the echo must not call it
+    with pytest.raises(BraidParseError) as info:
+        parse_braid("1", strands=10**5000)
+    assert str(info.value) == (
+        f"{'1' + '0' * 19}... (5001 characters) strands exceed the limit of {MAX_STRANDS}"
+    )
+    assert _echo(-(10**5000) + 1) == f"-{'9' * 19}... (5001 characters)"
+
+
+@pytest.mark.parametrize("digits", [19, 20, 21, 22, 300, 4000])
+def test_echo_of_an_int_matches_its_clipped_text(digits):
+    for value in (10 ** (digits - 1), 10**digits - 1, -(10**digits - 1), 123456789 * 10**digits):
+        text = str(value)
+        expected = text if len(text) <= 20 else f"{text[:20]}... ({len(text)} characters)"
+        assert _echo(value) == expected
 
 
 # -- Burau against products of letter matrices -------------------------------------

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from foxabf import alexander, cli
+from foxabf import alexander, cli, ring
 from foxabf.sequences import IdentityCheck
 
 
@@ -191,6 +191,16 @@ def test_wheel_computes_the_module_once(capsys, monkeypatch):
     code, _ = run(["wheel", "7"], capsys)
     assert code == 0
     assert (len(builds), len(modules)) == (1, 1)
+
+
+def test_wheel_divides_only_in_bareiss_and_the_g_divides_h_check(capsys, monkeypatch):
+    # A'_n = A_n / (-g_n) is built and multiplied back, not divided out;
+    # what divides is one Bareiss step for each 2x2 determinant (det A'_n,
+    # det A_n) and the check that g divides h
+    divisions = count_calls(monkeypatch, ring, "divide_exact")
+    code, _ = run(["wheel", "7"], capsys)
+    assert code == 0
+    assert len(divisions) == 3
 
 
 @pytest.mark.parametrize(

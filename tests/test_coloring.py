@@ -153,6 +153,8 @@ def test_enumeration_cap_env(monkeypatch):
         brute_force_coloring_count(wheel_braid(2), 216)  # 216^3 > 10^7
     with pytest.raises(EnumerationLimitError, match="\\.\\.\\. \\(2001 characters\\)\\^3 "):
         brute_force_coloring_count(wheel_braid(2), 10**2000)  # refused unformed
+    with pytest.raises(EnumerationLimitError, match="\\.\\.\\. \\(5001 characters\\)\\^3 "):
+        brute_force_coloring_count(wheel_braid(2), 10**5000)  # past str()'s digit limit
     monkeypatch.setattr(coloring, "ENUMERATION_CAP", 100)
     with pytest.raises(EnumerationLimitError):
         brute_force_coloring_count(wheel_braid(2), 5)  # 5^3 = 125 > 100

@@ -116,6 +116,106 @@ def test_pow():
         T ** -1
 
 
+# -- products against independent oracles --------------------------------------
+#
+# From 8 coefficients in the shorter operand a product is one big-int
+# multiplication with a packed digit per coefficient; these tests put
+# operands on both sides of that switch and product coefficients at the
+# edge of the digit width.
+
+BOUND_BITS = (1, 7, 8, 63, 64, 200)
+
+
+def schoolbook_product(p, q):
+    """Product by the definition, over (exponent, coefficient) terms."""
+    out = {}
+    for e, c in p.terms():
+        for f, d in q.terms():
+            out[e + f] = out.get(e + f, 0) + c * d
+    return LaurentPoly(out)
+
+
+def rand_dense(rng, length, bits, zeros=0.0):
+    """``length`` coefficients of up to ``bits`` bits, any sign, nonzero
+    ends, interior zeros with probability ``zeros``, lowest exponent in
+    [-300, 300]."""
+    top = 2**bits - 1
+    coeffs = [rng.choice((-1, 1)) * rng.randint(1, top) for _ in range(length)]
+    for i in range(1, length - 1):
+        if rng.random() < zeros:
+            coeffs[i] = 0
+    lo = rng.randint(-300, 300)
+    return LaurentPoly({lo + i: c for i, c in enumerate(coeffs)})
+
+
+def test_product_matches_schoolbook_random():
+    rng = random.Random(4242)
+    packed = 0  # products whose shorter operand takes the packed path
+    for trial in range(4000):
+        draw = rng.random()
+        if trial < 1200:
+            short = (7, 8, 9)[trial % 3]  # around the switch
+        elif draw < 0.1:
+            short = rng.randint(1, 6)
+        elif draw < 0.55:
+            short = rng.randint(10, 16)
+        elif draw < 0.95:
+            short = rng.randint(17, 64)
+        else:
+            short = rng.randint(65, 200)
+        long = short + rng.choice((0, rng.randint(0, 8), rng.randint(0, 60)))
+        packed += short >= 8
+        bits = rng.choice(BOUND_BITS + (2, 30))
+        zeros = rng.choice((0.0, 0.3, 0.9))
+        a = rand_dense(rng, short, bits, zeros)
+        b = rand_dense(rng, long, rng.choice(BOUND_BITS), zeros)
+        if trial % 4 == 1:
+            a = -LaurentPoly({e: abs(c) for e, c in a.terms()})  # all negative
+        if trial % 4 == 2:
+            a, b = (-LaurentPoly({e: abs(c) for e, c in p.terms()}) for p in (a, b))
+        expected = schoolbook_product(a, b)
+        assert a * b == expected, (trial, short, long, bits)
+        assert b * a == expected
+    assert packed >= 3000
+
+
+@pytest.mark.parametrize("bits_a", BOUND_BITS)
+@pytest.mark.parametrize("bits_b", BOUND_BITS)
+def test_product_at_the_digit_bound(bits_a, bits_b):
+    # every coefficient at +/-(2^B - 1): the middle coefficients of the
+    # product are length * (2^Ba - 1) * (2^Bb - 1), as close to the digit
+    # width as the bit counts of the coefficients and of the length allow;
+    # lengths 255 and 1023 make that width a whole number of bytes for
+    # the pairs whose bit counts sum to 0 or 6 mod 8
+    top_a, top_b = 2**bits_a - 1, 2**bits_b - 1
+    for len_a, len_b in ((7, 7), (8, 8), (8, 9), (9, 40), (255, 255), (255, 300), (1023, 1023)):
+        for sign_a, sign_b in ((1, 1), (1, -1), (-1, -1)):
+            a = LaurentPoly({e: sign_a * top_a for e in range(-3, len_a - 3)})
+            b = LaurentPoly({e: sign_b * top_b for e in range(5, len_b + 5)})
+            m = len_a + len_b - 1
+            expected = LaurentPoly(
+                {
+                    2 + j: sign_a * sign_b * top_a * top_b * min(j + 1, len_a, len_b, m - j)
+                    for j in range(m)
+                }
+            )
+            assert a * b == expected, (len_a, len_b, sign_a, sign_b)
+
+
+def test_product_with_units_and_interior_zeros():
+    rng = random.Random(99)
+    for length in (1, 7, 8, 9, 50):
+        p = rand_dense(rng, length, 64, zeros=0.5)
+        for k in (-40, -1, 0, 1, 40):
+            for sign in (1, -1):
+                assert p * (sign * LaurentPoly.t(k)) == sign * p.shift(k)
+        q = rand_dense(rng, 30, 8, zeros=0.5)
+        assert p.shift(7) * q.shift(-9) == (p * q).shift(-2) == schoolbook_product(p, q).shift(-2)
+    sparse = LaurentPoly({0: 1, 20: -1})  # 19 interior zeros
+    assert sparse * sparse == LaurentPoly({0: 1, 20: -2, 40: 1})
+    assert sparse * (-sparse) == LaurentPoly({0: -1, 20: 2, 40: -1})
+
+
 # -- unit normalization ------------------------------------------------------
 
 
