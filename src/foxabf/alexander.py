@@ -31,15 +31,14 @@ presentation:
   3 - t - t^{-1} for even n, and det A_n equals the determinant of the
   Burau-route reduced matrix (middle strand dropped).
 
-wheel_euclidean_reduction builds A'_n = A_n / (-g_n) directly from
-g_{n-1} and g_{n+1},
+The closed route builds A'_n = A_n / (-g_n) from g_{n-1} and g_{n+1},
 
       [ g_{n+1} + t^{-1}*g_{n-1}    -t^{-1}*g_{n-1}          ]
       [ -t*g_{n+1}                  g_{n+1} + t*g_{n-1}      ]
 
-and checks it by multiplying back (-g_n * A'_n == A_n entrywise) instead
-of dividing; it then replays the column operations that bring the first
-row to (g_{n+1}, g_{n-1}), and runs the Euclidean descent
+and multiplies it by -g_n.  wheel_euclidean_reduction takes the same
+A'_n, replays the column operations that bring the first row to
+(g_{n+1}, g_{n-1}), and runs the Euclidean descent
 (col1 -= z*col2, negate, swap) down to (1, 0); the result is the cyclic
 decomposition with ideal generators (g_n, det(A'_n) * g_n).
 """
@@ -121,19 +120,26 @@ def wheel_abf_matrix_recursive(n: int) -> Matrix:
     return Matrix([[pa, pc], [qa, qc]])
 
 
-def wheel_abf_matrix_closed(n: int) -> Matrix:
-    """Wheel presentation from the Chebyshev closed form."""
+def _wheel_a_prime(n: int) -> tuple[LaurentPoly, Matrix]:
+    """g_n and A'_n = A_n / (-g_n), built from g_{n-1} and g_{n+1}."""
     if n < 1:
         raise ValueError("the wheel family starts at n = 1")
-    g = wheel_g(n)
     g_prev = wheel_g(n - 1)
     g_next = wheel_g(n + 1)
-    return Matrix(
+    aprime = Matrix(
         [
-            [-(g * (g_next + _T_INV * g_prev)), _T_INV * g * g_prev],
-            [_T * g * g_next, -(g * (g_next + _T * g_prev))],
+            [g_next + _T_INV * g_prev, -(_T_INV * g_prev)],
+            [-(_T * g_next), g_next + _T * g_prev],
         ]
     )
+    return wheel_g(n), aprime
+
+
+def wheel_abf_matrix_closed(n: int) -> Matrix:
+    """Wheel presentation from the Chebyshev closed form, -g_n * A'_n."""
+    g, aprime = _wheel_a_prime(n)
+    neg_g = -g
+    return aprime.map(lambda entry: neg_g * entry)
 
 
 def wheel_euclidean_reduction(
@@ -144,31 +150,9 @@ def wheel_euclidean_reduction(
     Returns ((g, h), det_a_prime) where g = g_n and h = det(A'_n) * g_n,
     both unit-normalized, and det_a_prime is the exact determinant of
     A'_n = A_n / (-g_n): 1 for odd n, 3 - t - t^{-1} for even n.  A'_n is
-    built from g_{n-1} and g_{n+1}, not found by dividing; the reduction
-    checks that -g_n * A'_n equals A_n entrywise.
+    built from g_{n-1} and g_{n+1}.
     """
-    return _euclidean_reduction(n, wheel_abf_matrix_closed(n))
-
-
-def _euclidean_reduction(
-    n: int, a: Matrix
-) -> tuple[tuple[LaurentPoly, LaurentPoly], LaurentPoly]:
-    """wheel_euclidean_reduction on the closed matrix ``a`` = A_n."""
-    g = wheel_g(n)
-    g_prev = wheel_g(n - 1)
-    g_next = wheel_g(n + 1)
-    aprime = Matrix(
-        [
-            [g_next + _T_INV * g_prev, -(_T_INV * g_prev)],
-            [-(_T * g_next), g_next + _T * g_prev],
-        ]
-    )
-    # multiplying back is as strong a check as dividing exactly by -g_n
-    neg_g = -g
-    if aprime.map(lambda entry: neg_g * entry) != a:
-        raise InternalConsistencyError(
-            f"entries of the wheel matrix are not divisible by g_{n}"
-        )
+    g, aprime = _wheel_a_prime(n)
     det_a_prime = aprime.det()
 
     # column replay: [col1, col2] with col = [top, bottom]
@@ -208,12 +192,28 @@ def _euclidean_reduction(
     return gens, det_a_prime
 
 
+def _euclidean_reduction(
+    n: int, a: Matrix
+) -> tuple[tuple[LaurentPoly, LaurentPoly], LaurentPoly]:
+    """wheel_euclidean_reduction for a matrix ``a`` that should be A_n.
+
+    The closed form is -g_n * A'_n by construction, so the library's own
+    routes reduce A'_n directly; this entry point is for a matrix from
+    anywhere else, and first checks that -g_n * A'_n equals it entrywise.
+    """
+    if wheel_abf_matrix_closed(n) != a:
+        raise InternalConsistencyError(
+            f"entries of the wheel matrix are not divisible by g_{n}"
+        )
+    return wheel_euclidean_reduction(n)
+
+
 def wheel_module(n: int) -> ModulePresentation:
     """Reduced module of the wheel-family closure: closed-form matrix,
     cyclic ideal generators, det A'_n, and the generators' normalized
     product as the Alexander polynomial."""
     matrix = wheel_abf_matrix_closed(n)
-    gens, det_a_prime = _euclidean_reduction(n, matrix)
+    gens, det_a_prime = wheel_euclidean_reduction(n)
     alexander = normalize_unit(gens[0] * gens[1])
     divide_exact(gens[1], gens[0])  # g | h, by construction; fails loudly otherwise
     if alexander != normalize_unit(matrix.det()):

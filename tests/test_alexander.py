@@ -189,7 +189,7 @@ def test_reduction_unknot():
 
 @pytest.mark.parametrize("n", [3, 8, 25])
 def test_reduction_rejects_a_perturbed_matrix(n):
-    # A'_n is built from g_{n-1} and g_{n+1} and multiplied back by -g_n;
+    # a matrix handed to the reduction is checked against -g_n * A'_n;
     # an A_n off by 1 in one entry must not get past that check
     rows = [list(row) for row in wheel_abf_matrix_closed(n).entries()]
     for i, j in ((0, 0), (0, 1), (1, 0), (1, 1)):

@@ -194,8 +194,8 @@ def test_wheel_computes_the_module_once(capsys, monkeypatch):
 
 
 def test_wheel_divides_only_in_bareiss_and_the_g_divides_h_check(capsys, monkeypatch):
-    # A'_n = A_n / (-g_n) is built and multiplied back, not divided out;
-    # what divides is one Bareiss step for each 2x2 determinant (det A'_n,
+    # A'_n = A_n / (-g_n) is built from g_{n-1} and g_{n+1}; what divides
+    # is one Bareiss step for each 2x2 determinant (det A'_n,
     # det A_n) and the check that g divides h
     divisions = count_calls(monkeypatch, ring, "divide_exact")
     code, _ = run(["wheel", "7"], capsys)
