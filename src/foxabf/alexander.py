@@ -38,9 +38,11 @@ The closed route builds A'_n = A_n / (-g_n) from g_{n-1} and g_{n+1},
 
 and multiplies it by -g_n.  wheel_euclidean_reduction takes the same
 A'_n, replays the column operations that bring the first row to
-(g_{n+1}, g_{n-1}), and runs the Euclidean descent
-(col1 -= z*col2, negate, swap) down to (1, 0); the result is the cyclic
-decomposition with ideal generators (g_n, det(A'_n) * g_n).
+(g_{n+1}, g_{n-1}), and runs the Euclidean descent: n//2 - 1 steps of the
+Chebyshev recurrence col1, col2 <- col2, z*col2 - col1, then one cleanup
+(col1 -= u*col2, swap) that takes the first row from (u, 1) to (1, 0).
+The result is the cyclic decomposition with ideal generators
+(g_n, det(A'_n) * g_n).
 """
 
 from __future__ import annotations
@@ -155,57 +157,34 @@ def wheel_euclidean_reduction(
     g, aprime = _wheel_a_prime(n)
     det_a_prime = aprime.det()
 
-    # column replay: [col1, col2] with col = [top, bottom]
-    col1 = [aprime[0, 0], aprime[1, 0]]
-    col2 = [aprime[0, 1], aprime[1, 1]]
-    col1 = [col1[0] + col2[0], col1[1] + col2[1]]  # first row -> (g_{n+1}, -t^-1 g_{n-1})
-    col2 = [-(_T * col2[0]), -(_T * col2[1])]  # first row -> (g_{n+1}, g_{n-1})
+    # column replay, col = [top, bottom]: col1 += col2 takes the first row
+    # to (g_{n+1}, -t^-1 g_{n-1}), col2 *= -t then to (g_{n+1}, g_{n-1})
+    (p, q), (r, s) = aprime.entries()
+    col1, col2 = [p + q, r + s], [-(_T * q), -(_T * s)]
 
-    steps = 0
-    while (col1[0], col2[0]) != (_ONE, _ZERO):
-        if steps > n + 4:
-            raise InternalConsistencyError(
-                f"Euclidean descent did not terminate for n = {n}"
-            )
-        steps += 1
-        u, v = col1[0], col2[0]
-        if v == _ONE:
-            # terminal cleanup: (u, 1) -> (0, 1) -> swap -> (1, 0)
-            col1 = [col1[0] - u * col2[0], col1[1] - u * col2[1]]
-            col1, col2 = col2, col1
-        else:
-            # one Euclidean step: (S_j, S_{j-1}) -> (S_{j-1}, S_{j-2})
-            col1 = [
-                -(col1[0] - Z_OF_T * col2[0]),
-                -(col1[1] - Z_OF_T * col2[1]),
-            ]
-            col1, col2 = col2, col1
+    # a step col1, col2 <- col2, z*col2 - col1 takes a first row
+    # (S_j, S_{j-1}) to (S_{j-1}, S_{j-2}), and a sum of two such rows
+    # alike; n//2 - 1 steps end at (z, 1) for odd n >= 3 and (1 + z, 1) for
+    # even n (n = 1 starts at (1, 0))
+    for _ in range(n // 2 - 1):
+        col1, col2 = col2, [Z_OF_T * b - a for a, b in zip(col1, col2)]
+    if col2[0] == _ONE:
+        # cleanup: (u, 1) -> (0, 1) -> swap -> (1, 0)
+        u = col1[0]
+        col1, col2 = col2, [a - u * b for a, b in zip(col1, col2)]
+    if (col1[0], col2[0]) != (_ONE, _ZERO):
+        raise InternalConsistencyError(
+            f"Euclidean descent did not reach (1, 0) for n = {n}"
+        )
 
     # first row is (1, 0); clearing the second row's first entry leaves
-    # diag(1, y) with y an associate of det A'_n
-    y = col2[1]
-    if normalize_unit(y) != normalize_unit(det_a_prime):
+    # diag(1, y) with y = col2[1] an associate of det A'_n
+    if normalize_unit(col2[1]) != normalize_unit(det_a_prime):
         raise InternalConsistencyError(
             f"Euclidean reduction of the wheel matrix lost the determinant at n = {n}"
         )
     gens = (normalize_unit(g), normalize_unit(det_a_prime * g))
     return gens, det_a_prime
-
-
-def _euclidean_reduction(
-    n: int, a: Matrix
-) -> tuple[tuple[LaurentPoly, LaurentPoly], LaurentPoly]:
-    """wheel_euclidean_reduction for a matrix ``a`` that should be A_n.
-
-    The closed form is -g_n * A'_n by construction, so the library's own
-    routes reduce A'_n directly; this entry point is for a matrix from
-    anywhere else, and first checks that -g_n * A'_n equals it entrywise.
-    """
-    if wheel_abf_matrix_closed(n) != a:
-        raise InternalConsistencyError(
-            f"entries of the wheel matrix are not divisible by g_{n}"
-        )
-    return wheel_euclidean_reduction(n)
 
 
 def wheel_module(n: int) -> ModulePresentation:

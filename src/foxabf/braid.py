@@ -37,11 +37,18 @@ MAX_STRANDS = 256
 
 _LETTER = re.compile(r"[+-]?[0-9]+")
 
+# Characters an error message echoes of an argument before clipping it.
+_ECHO_LIMIT = 20
 
-def _echo(value: object, limit: int = 20) -> str:
+# Case count and seed of the randomized part of burau_property_check.
+_BURAU_CHECK_CASES = 120
+_BURAU_CHECK_SEED = 9151
+
+
+def _echo(value: object) -> str:
     """A value as an error message shows it (strings quoted), clipped past
-    ``limit`` characters so an oversized argument is not echoed whole."""
-    if isinstance(value, int) and abs(value) >= 10**limit:
+    _ECHO_LIMIT characters so an oversized argument is not echoed whole."""
+    if isinstance(value, int) and abs(value) >= 10**_ECHO_LIMIT:
         # str() refuses an int past 4300 digits: count the digits and take
         # the leading ones arithmetically instead
         magnitude = abs(value)
@@ -49,11 +56,11 @@ def _echo(value: object, limit: int = 20) -> str:
         while 10**digits <= magnitude:
             digits += 1
         sign = "-" if value < 0 else ""
-        shown = (sign + str(magnitude // 10 ** (digits - limit)))[:limit]
+        shown = (sign + str(magnitude // 10 ** (digits - _ECHO_LIMIT)))[:_ECHO_LIMIT]
         return f"{shown}... ({len(sign) + digits} characters)"
     text = str(value)
-    shown = repr(text[:limit]) if isinstance(value, str) else text[:limit]
-    return shown if len(text) <= limit else f"{shown}... ({len(text)} characters)"
+    shown = repr(text[:_ECHO_LIMIT]) if isinstance(value, str) else text[:_ECHO_LIMIT]
+    return shown if len(text) <= _ECHO_LIMIT else f"{shown}... ({len(text)} characters)"
 
 
 class BraidParseError(ValueError):
@@ -244,12 +251,12 @@ def random_word(rng: random.Random, max_strands: int = 6, max_len: int = 20) -> 
     return BraidWord(strands, letters)
 
 
-def burau_property_check(cases: int = 120, seed: int = 9151) -> IdentityCheck:
+def burau_property_check() -> IdentityCheck:
     """Randomized Burau sanity: homomorphism, braid relations, inverse
     cancellation, det = (-t)^writhe, row sums, weighted left null vector."""
-    rng = random.Random(seed)
+    rng = random.Random(_BURAU_CHECK_SEED)
     results = []
-    for trial in range(cases):
+    for trial in range(_BURAU_CHECK_CASES):
         word = random_word(rng)
         m = burau(word)
         s = word.strands

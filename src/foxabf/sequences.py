@@ -9,8 +9,10 @@ product identity T_m*T_n = T_{m+n} + T_{m-n} at m = n = 0) and T_{-n} = T_n.
 Symbolic values reuse LaurentPoly with the variable read as z; the
 substituted variants evaluate at z = 1 - t - t^{-1}.
 
-Caches grow by atomic rebinding of module-level tuples, so concurrent
-callers only ever see fully built prefixes.
+Every Chebyshev sequence is a _Chebyshev object that runs the recurrence
+from x_0 and x_1 = z: module-level objects for S_n and T_n in z and for
+the substituted S_n grow on demand; cheb_S_at and the recurrence solver
+build one per call.
 """
 
 from __future__ import annotations
@@ -24,10 +26,11 @@ from .ring import LaurentPoly
 Z_VAR = LaurentPoly.t()  # the Chebyshev variable; print with to_str("z")
 Z_OF_T = LaurentPoly({0: 1, 1: -1, -1: -1})  # 1 - t - t^-1
 
+# Trial count and seed of recurrence_solver_check.
+_SOLVER_CHECK_TRIALS = 30
+_SOLVER_CHECK_SEED = 20230301
+
 _fib_cache: tuple[int, ...] = (0, 1)
-_cheb_s_cache: tuple[LaurentPoly, ...] = (LaurentPoly.one(), Z_VAR)
-_cheb_t_cache: tuple[LaurentPoly, ...] = (LaurentPoly.const(2), Z_VAR)
-_cheb_s_subst_cache: tuple[LaurentPoly, ...] = (LaurentPoly.one(), Z_OF_T)
 
 
 def fib(n: int) -> int:
@@ -51,74 +54,57 @@ def lucas(n: int) -> int:
     return fib(n - 1) + fib(n + 1)
 
 
-def _grown(cache: tuple, n: int, step) -> tuple:
-    if n < len(cache):
-        return cache
-    ext = list(cache)
-    while len(ext) <= n:
-        ext.append(step(ext))
-    return tuple(ext)
+class _Chebyshev:
+    """x_0, x_1 = z and x_k = z*x_{k-1} - x_{k-2}, grown on demand.
+
+    With x_0 = 1 this is S_k(z), with x_0 = 2 it is T_k(z); z may be any
+    ring element (int or LaurentPoly).  The values tuple is rebound whole,
+    so concurrent readers only ever see a fully built prefix.
+    """
+
+    def __init__(self, x0, z):
+        self.z = z
+        self.values = (x0, z)
+
+    def __getitem__(self, k: int):
+        values = self.values
+        if k >= len(values):
+            ext, z = list(values), self.z
+            while len(ext) <= k:
+                ext.append(z * ext[-1] - ext[-2])
+            self.values = values = tuple(ext)
+        return values[k]
+
+    def s(self, n: int):
+        """x_n read as S_n for every integer n: S_{-1} = 0, S_{-n-2} = -S_n."""
+        if n >= 0:
+            return self[n]
+        return self[0] - self[0] if n == -1 else -self[-n - 2]
+
+
+_CHEB_S = _Chebyshev(LaurentPoly.one(), Z_VAR)
+_CHEB_T = _Chebyshev(LaurentPoly.const(2), Z_VAR)
+_CHEB_S_SUBST = _Chebyshev(LaurentPoly.one(), Z_OF_T)
 
 
 def cheb_S(n: int) -> LaurentPoly:
     """Second-kind Chebyshev polynomial S_n in the variable z."""
-    global _cheb_s_cache
-    if n < 0:
-        if n == -1:
-            return LaurentPoly.zero()
-        return -cheb_S(-n - 2)
-    _cheb_s_cache = cache = _grown(
-        _cheb_s_cache, n, lambda ext: Z_VAR * ext[-1] - ext[-2]
-    )
-    return cache[n]
+    return _CHEB_S.s(n)
 
 
 def cheb_T(n: int) -> LaurentPoly:
     """First-kind Chebyshev polynomial T_n in the variable z (T_0 = 2)."""
-    global _cheb_t_cache
-    n = abs(n)
-    _cheb_t_cache = cache = _grown(
-        _cheb_t_cache, n, lambda ext: Z_VAR * ext[-1] - ext[-2]
-    )
-    return cache[n]
+    return _CHEB_T[abs(n)]
 
 
 def cheb_S_at(n: int, x0: int) -> int:
     """S_n evaluated at the integer x0."""
-    if n < 0:
-        if n == -1:
-            return 0
-        return -cheb_S_at(-n - 2, x0)
-    prev, cur = 0, 1  # S_{-1}, S_0
-    for _ in range(n):
-        prev, cur = cur, x0 * cur - prev
-    return cur
+    return _Chebyshev(1, x0).s(n)
 
 
 def cheb_S_subst(n: int) -> LaurentPoly:
     """S_n with z = 1 - t - t^{-1} substituted, as a polynomial in t."""
-    global _cheb_s_subst_cache
-    if n < 0:
-        if n == -1:
-            return LaurentPoly.zero()
-        return -cheb_S_subst(-n - 2)
-    _cheb_s_subst_cache = cache = _grown(
-        _cheb_s_subst_cache, n, lambda ext: Z_OF_T * ext[-1] - ext[-2]
-    )
-    return cache[n]
-
-
-def _chebyshev_values_at(z, count: int) -> list:
-    """S_0 .. S_{count-1} evaluated at an arbitrary ring element z."""
-    if count <= 0:
-        return []
-    one = z ** 0
-    values = [one]
-    prev = one * 0  # S_{-1}
-    while len(values) < count:
-        prev, nxt = values[-1], z * values[-1] - prev
-        values.append(nxt)
-    return values
+    return _CHEB_S_SUBST.s(n)
 
 
 def solve_chebyshev_recurrence(p0, p1, cs: Sequence, z, n: int):
@@ -138,7 +124,7 @@ def solve_chebyshev_recurrence(p0, p1, cs: Sequence, z, n: int):
         return p0
     if n == 1:
         return p1
-    svals = _chebyshev_values_at(z, n)
+    svals = _Chebyshev(z ** 0, z)
     result = svals[n - 1] * p1 - svals[n - 2] * p0
     for j in range(n - 1):
         # c_{n-j} lives at cs[n-j-2]
@@ -330,10 +316,10 @@ def identity_suite(max_index: int) -> IdentityReport:
     return IdentityReport(max_index=m, checks=tuple(checks))
 
 
-def recurrence_solver_check(max_n: int, trials: int = 30, seed: int = 20230301) -> IdentityCheck:
+def recurrence_solver_check(max_n: int) -> IdentityCheck:
     """Randomized check that the closed-form solver equals direct iteration
     over both rings (ints and Laurent polynomials)."""
-    rng = random.Random(seed)
+    rng = random.Random(_SOLVER_CHECK_SEED)
 
     def rand_poly() -> LaurentPoly:
         return LaurentPoly(
@@ -341,7 +327,7 @@ def recurrence_solver_check(max_n: int, trials: int = 30, seed: int = 20230301) 
         )
 
     cases = []
-    for trial in range(trials):
+    for trial in range(_SOLVER_CHECK_TRIALS):
         n = rng.randint(0, max_n)
         if trial % 2 == 0:
             p0, p1 = rng.randint(-9, 9), rng.randint(-9, 9)

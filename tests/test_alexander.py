@@ -3,9 +3,9 @@ routes, Euclidean reduction, and specialization to Fox colorings."""
 
 import pytest
 
+from foxabf import alexander
 from foxabf.alexander import (
     InternalConsistencyError,
-    _euclidean_reduction,
     alexander_polynomial,
     general_presentation,
     wheel_abf_matrix_closed,
@@ -187,21 +187,18 @@ def test_reduction_unknot():
     assert det_a_prime == ONE
 
 
-@pytest.mark.parametrize("n", [3, 8, 25])
-def test_reduction_rejects_a_perturbed_matrix(n):
-    # a matrix handed to the reduction is checked against -g_n * A'_n;
-    # an A_n off by 1 in one entry must not get past that check
-    rows = [list(row) for row in wheel_abf_matrix_closed(n).entries()]
-    for i, j in ((0, 0), (0, 1), (1, 0), (1, 1)):
-        for delta in (1, -1):
-            perturbed = [list(row) for row in rows]
-            perturbed[i][j] += delta
-            with pytest.raises(
-                InternalConsistencyError,
-                match=f"^entries of the wheel matrix are not divisible by g_{n}$",
-            ):
-                _euclidean_reduction(n, Matrix(perturbed))
-    assert _euclidean_reduction(n, Matrix(rows)) == wheel_euclidean_reduction(n)
+@pytest.mark.parametrize("n", [4, 9, 30])
+def test_descent_rejects_a_perturbed_g(n, monkeypatch):
+    # the descent runs a fixed number of recurrence steps, so a first row
+    # that is not a pair of consecutive Chebyshev values must not reach
+    # (1, 0); g_{n+1} off by 1 is such a row
+    exact = alexander.wheel_g
+    monkeypatch.setattr(alexander, "wheel_g", lambda m: exact(m) + (1 if m == n + 1 else 0))
+    with pytest.raises(
+        InternalConsistencyError,
+        match=fr"^Euclidean descent did not reach \(1, 0\) for n = {n}$",
+    ):
+        wheel_euclidean_reduction(n)
 
 
 def test_det_a_prime_closed_forms_to_100():

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from foxabf import sequences
 from foxabf.ring import LaurentPoly
 from foxabf.sequences import (
     Z_OF_T,
@@ -94,6 +95,46 @@ def test_cheb_S_at_matches_symbolic():
         # evaluate the z-polynomial at z = 4 by hand
         value = sum(c * 4**e for e, c in symbolic.terms())
         assert cheb_S_at(n, 4) == value
+
+
+def test_cheb_S_at_is_an_int_equal_to_the_two_variable_loop():
+    def two_variable_loop(n, x0):
+        if n < 0:
+            return 0 if n == -1 else -two_variable_loop(-n - 2, x0)
+        prev, cur = 0, 1  # S_{-1}, S_0
+        for _ in range(n):
+            prev, cur = cur, x0 * cur - prev
+        return cur
+
+    for x0 in range(-3, 6):
+        for n in range(-6, 41):
+            value = cheb_S_at(n, x0)
+            assert type(value) is int, (n, x0)
+            assert value == two_variable_loop(n, x0), (n, x0)
+
+
+@pytest.mark.parametrize(
+    "name, cache, x0, z",
+    [
+        ("cheb_S", "_CHEB_S", 1, Z_VAR),
+        ("cheb_T", "_CHEB_T", 2, Z_VAR),
+        ("cheb_S_subst", "_CHEB_S_SUBST", 1, Z_OF_T),
+    ],
+)
+def test_sequence_matches_a_rerun_of_the_recurrence(name, cache, x0, z, monkeypatch):
+    # oracle: x_k = z*x_{k-1} - x_{k-2} forward from (x_0, z), and
+    # x_{k-2} = z*x_{k-1} - x_k backward; both S and T satisfy it at every
+    # index (S_{-1} = 0, T_{-1} = T_1)
+    expected = {0: LaurentPoly.const(x0), 1: z}
+    for k in range(2, 61):
+        expected[k] = z * expected[k - 1] - expected[k - 2]
+    for k in range(-1, -7, -1):
+        expected[k] = z * expected[k + 1] - expected[k + 2]
+    # a fresh sequence, so that reads in both orders grow it
+    monkeypatch.setattr(sequences, cache, sequences._Chebyshev(LaurentPoly.const(x0), z))
+    fn = getattr(sequences, name)
+    for k in [*range(40, -7, -1), *range(-6, 61)]:
+        assert fn(k) == expected[k], k
 
 
 def test_cheb_S_subst_small():
