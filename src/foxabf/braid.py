@@ -160,7 +160,7 @@ def _checked_word(letters: list[int], strands: int | None) -> BraidWord:
 def _parse_json_braid(text: str, strands: int | None) -> tuple[list[int], int | None]:
     try:
         obj = json.loads(text)
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:  # RecursionError: nested too deeply
         raise BraidParseError(f"invalid JSON braid: {exc}") from None
     if not isinstance(obj, dict) or not isinstance(obj.get("letters"), list):
         raise BraidParseError('JSON braid must look like {"strands": s, "letters": [...]}')

@@ -255,6 +255,7 @@ def test_word_inverse_and_concat():
         '{"letters": [1.0]}',
         '{"strands": 3.0, "letters": [1]}',
         '{"strands": null, "letters": [1]}',
+        pytest.param('{"letters": ' + '[' * 5000 + ']' * 5000 + '}', id="nested-5000-deep"),
     ],
 )
 def test_parse_json_rejects_malformed(text):

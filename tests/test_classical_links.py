@@ -1,13 +1,17 @@
 """Fixed points from classical knot theory, independent of the wheel
-family: (2, n) torus closures and an SNF oracle via determinantal
-divisors."""
+family: (2, n) torus closures, an SNF oracle via determinantal divisors,
+and an Alexander polynomial oracle from the reduced Burau
+representation."""
 
 import math
 import random
 from itertools import combinations
 
-from foxabf.alexander import alexander_polynomial
-from foxabf.braid import BraidWord, reduced_relation_matrix
+import sympy
+from sympy.polys.matrices import DomainMatrix
+
+from foxabf.alexander import alexander_polynomial, wheel_module
+from foxabf.braid import BraidWord, random_word, reduced_relation_matrix
 from foxabf.coloring import coloring_group
 from foxabf.ring import AbelianGroup, LaurentPoly, Matrix, normalize_unit, snf
 
@@ -134,3 +138,93 @@ def test_markov_stabilization():
     for rng, word in markov_words(6062):
         last = rng.choice((1, -1)) * word.strands
         assert_same_invariants(word, BraidWord(word.strands + 1, (*word.letters, last)))
+
+
+# -- independent Alexander oracle: the reduced Burau representation --------------
+#
+# Birman, Braids, Links, and Mapping Class Groups (1974), Thm 3.11: for a
+# braid b on s strands, Delta(t) ~ det(I - psi(b)) * (1 - t) / (1 - t^s),
+# with psi the reduced Burau representation.  Built with sympy alone; it
+# shares no code with foxabf's Burau product, ring or determinant.
+
+T = sympy.Symbol("t")
+
+
+def _one_column_off_diagonal(strands, i, diagonal, above, on):
+    """diagonal * I of size s - 1 whose column i reads above, on, 1 in rows
+    i - 1, i, i + 1 (as far as they exist)."""
+    m = diagonal * sympy.eye(strands - 1)
+    c = i - 1
+    if c > 0:
+        m[c - 1, c] = above
+    m[c, c] = on
+    if c + 1 < strands - 1:
+        m[c + 1, c] = 1
+    return m
+
+
+def reduced_burau(strands, i):
+    """psi(sigma_i): the identity but for column i, (t, -t, 1)."""
+    return _one_column_off_diagonal(strands, i, 1, T, -T)
+
+
+def reduced_burau_inverse_times_t(strands, i):
+    """t * psi(sigma_i)^-1: t times the identity but for column i,
+    (t, -1, 1); no negative powers of t."""
+    return _one_column_off_diagonal(strands, i, T, T, -1)
+
+
+def burau_alexander(strands, letters):
+    """Coefficients, lowest first, of det(t^m I - P) (1 - t) / (1 - t^s),
+    P the product of psi(sigma_i) and t * psi(sigma_i^-1) over the word and
+    m its number of inverse letters; P = t^m psi(b).  The product and the
+    determinant run over ZZ[t] in sympy's DomainMatrix."""
+    ring = sympy.ZZ[T]
+    product = DomainMatrix.eye(strands - 1, ring)
+    for letter in letters:
+        build = reduced_burau if letter > 0 else reduced_burau_inverse_times_t
+        product = product * DomainMatrix.from_Matrix(build(strands, abs(letter))).convert_to(ring)
+    t_m = ring.from_sympy(T ** sum(1 for letter in letters if letter < 0))
+    det = sympy.Poly(ring.to_sympy((DomainMatrix.eye(strands - 1, ring) * t_m - product).det()), T)
+    quotient, remainder = sympy.div(det * sympy.Poly(1 - T, T), sympy.Poly(1 - T**strands, T))
+    assert remainder.is_zero, (strands, letters)
+    return [int(c) for c in reversed(quotient.all_coeffs())]
+
+
+def up_to_units_and_inversion(coeffs):
+    """One representative of +-t^k * p(t^(+-1)) from a coefficient list."""
+    nonzero = [i for i, c in enumerate(coeffs) if c]
+    if not nonzero:
+        return ()
+    trimmed = tuple(coeffs[nonzero[0] : nonzero[-1] + 1])
+    variants = [trimmed, trimmed[::-1]]
+    return min(v for u in variants for v in (u, tuple(-c for c in u)))
+
+
+def foxabf_coefficients(poly):
+    if poly.is_zero:
+        return []
+    return [poly.coeff(e) for e in range(poly.min_exp, poly.max_exp + 1)]
+
+
+def test_reduced_burau_inverse_letters():
+    for strands in range(2, 7):
+        for i in range(1, strands):
+            product = (reduced_burau(strands, i) * reduced_burau_inverse_times_t(strands, i)).expand()
+            assert product == T * sympy.eye(strands - 1), (strands, i)
+
+
+def test_alexander_against_reduced_burau_oracle():
+    rng = random.Random(9091)
+    for _ in range(40):
+        word = random_word(rng)
+        expected = up_to_units_and_inversion(burau_alexander(word.strands, word.letters))
+        got = up_to_units_and_inversion(foxabf_coefficients(alexander_polynomial(word)))
+        assert got == expected, word
+
+
+def test_wheel_alexander_against_reduced_burau_oracle():
+    for n in range(1, 13):
+        expected = up_to_units_and_inversion(burau_alexander(3, (1, -2) * n))
+        got = up_to_units_and_inversion(foxabf_coefficients(wheel_module(n).alexander))
+        assert got == expected, n

@@ -21,8 +21,9 @@ def run_json(argv, capsys):
 
 
 def count_calls(monkeypatch, module, name):
-    """Wrap module.name in every foxabf namespace that binds it; the
-    returned list grows by one per call."""
+    """Wrap module.name (module may be a class) and the same object in
+    every foxabf namespace that binds it; the returned list grows by one
+    per call."""
     original = getattr(module, name)
     calls = []
 
@@ -30,6 +31,7 @@ def count_calls(monkeypatch, module, name):
         calls.append(args)
         return original(*args, **kwargs)
 
+    monkeypatch.setattr(module, name, counted)
     for module_name, namespace in list(sys.modules.items()):
         if module_name.startswith("foxabf") and getattr(namespace, name, None) is original:
             monkeypatch.setattr(namespace, name, counted)
@@ -69,6 +71,7 @@ def test_colorgroup_bad_token_exits_2(capsys):
         ["colorgroup", "\uff11 2"],
         ["colorgroup", "1", "--strands", "100000"],
         ["abf", '{"strands": 100000, "letters": [1]}'],
+        ["colorgroup", '{"letters": ' + '[' * 5000 + ']' * 5000 + '}'],
     ],
 )
 def test_malformed_or_oversized_braid_exits_2(argv, capsys):
@@ -193,14 +196,15 @@ def test_wheel_computes_the_module_once(capsys, monkeypatch):
     assert (len(builds), len(modules)) == (1, 1)
 
 
-def test_wheel_divides_only_in_bareiss_and_the_g_divides_h_check(capsys, monkeypatch):
-    # A'_n = A_n / (-g_n) is built from g_{n-1} and g_{n+1}; what divides
-    # is one Bareiss step for each 2x2 determinant (det A'_n,
-    # det A_n) and the check that g divides h
+def test_wheel_takes_one_determinant_and_one_division(capsys, monkeypatch):
+    # A'_n = A_n / (-g_n) is built from g_{n-1} and g_{n+1}, and the
+    # Alexander polynomial is the product of the ideal generators, so the
+    # one determinant is det A'_n and its Bareiss step the one division
     divisions = count_calls(monkeypatch, ring, "divide_exact")
+    dets = count_calls(monkeypatch, ring.Matrix, "det")
     code, _ = run(["wheel", "7"], capsys)
     assert code == 0
-    assert len(divisions) == 3
+    assert (len(divisions), len(dets)) == (1, 1)
 
 
 @pytest.mark.parametrize(
