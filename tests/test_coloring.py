@@ -1,6 +1,8 @@
 """Fox coloring groups against the brute-force enumeration oracle."""
 
+import itertools
 import random
+import time
 
 import pytest
 
@@ -118,6 +120,73 @@ def test_brute_force_odd_order_mod_two():
     # wheel 2 has reduced group Z_5 of odd order: only trivial 2-colorings
     assert brute_force_coloring_count(wheel_braid(2), 2) == 2
     assert brute_force_coloring_count(wheel_braid(5), 2) == 2
+
+
+def per_assignment_count(word, modulus):
+    """The oracle before the coloring rule was propagated once per word:
+    every assignment is pushed through every letter."""
+    ops = [(abs(letter) - 1, letter > 0) for letter in word.letters]
+    count = 0
+    for top in itertools.product(range(modulus), repeat=word.strands):
+        x = list(top)
+        for i, positive in ops:
+            a, b = x[i], x[i + 1]
+            if positive:
+                x[i] = b
+                x[i + 1] = (b + b - a) % modulus
+            else:
+                x[i] = (a + a - b) % modulus
+                x[i + 1] = a
+        if tuple(x) == top:
+            count += 1
+    return count
+
+
+def test_brute_force_matches_per_assignment_count():
+    rng = random.Random(20231018)
+    cases = 0
+    while cases < 400:
+        strands = rng.randint(1, 6)
+        modulus = rng.randint(2, 9)
+        if modulus**strands > 20000:
+            continue
+        length = rng.randint(0, 25) if strands > 1 else 0
+        letters = tuple(
+            rng.choice((1, -1)) * rng.randint(1, strands - 1) for _ in range(length)
+        )
+        word = BraidWord(strands, letters)
+        assert brute_force_coloring_count(word, modulus) == per_assignment_count(
+            word, modulus
+        ), (strands, letters, modulus)
+        cases += 1
+
+
+def test_brute_force_empty_and_split_words():
+    words = [
+        BraidWord(1),
+        BraidWord(4),
+        BraidWord(5, (1, 1, 1)),  # strands 3..5 untouched
+        BraidWord(5, (-4, 4, 4)),  # strands 1..3 untouched
+        BraidWord(6, (1, -2, 1, -2, 5, 5, 5)),  # split into 3 + 1 + 2 strands
+    ]
+    for word in words:
+        for modulus in range(2, 7):
+            if modulus**word.strands <= 20000:
+                assert brute_force_coloring_count(word, modulus) == per_assignment_count(
+                    word, modulus
+                ), (word.strands, word.letters, modulus)
+    assert brute_force_coloring_count(BraidWord(4), 3) == 3**4
+
+
+def test_brute_force_long_word_is_fast():
+    # 50^3 assignments on 1600 letters; each assignment pushed through every
+    # letter took about 30 s
+    word = wheel_braid(800)
+    expected = coloring_count_from_group(coloring_group(word).group, 50)
+    start = time.perf_counter()
+    count = brute_force_coloring_count(word, 50)
+    assert time.perf_counter() - start < 3.0
+    assert count == expected
 
 
 def test_brute_force_modulus_validation():
