@@ -36,7 +36,7 @@ The closed route builds A'_n = A_n / (-g_n) from g_{n-1} and g_{n+1},
       [ g_{n+1} + t^{-1}*g_{n-1}    -t^{-1}*g_{n-1}          ]
       [ -t*g_{n+1}                  g_{n+1} + t*g_{n-1}      ]
 
-and multiplies it by -g_n.  wheel_euclidean_reduction builds the same
+and multiplies it by -g_n.  wheel_euclidean_reduction takes the same
 A'_n, replays the column operations that bring the first row to
 (g_{n+1}, g_{n-1}), and runs the Euclidean descent: n//2 - 1 steps of the
 Chebyshev recurrence col1, col2 <- col2, z*col2 - col1, then one cleanup
@@ -44,7 +44,7 @@ Chebyshev recurrence col1, col2 <- col2, z*col2 - col1, then one cleanup
 The result is the cyclic decomposition with ideal generators
 (g_n, det(A'_n) * g_n), whose normalized product is the Alexander
 polynomial: det A_n = g_n^2 * det(A'_n) in any commutative ring, so
-wheel_module builds neither A_n nor its determinant.
+wheel_module takes no determinant of A_n.
 """
 
 from __future__ import annotations
@@ -71,9 +71,9 @@ class ModulePresentation:
     """Relation matrix (rows are relations), normalized Alexander
     polynomial, and - for the wheel family only - the ordered pair of
     cyclic ideal generators (g, h) with g | h and the determinant of
-    A'_n = A_n / (-g_n).  matrix is None for the wheel family."""
+    A'_n = A_n / (-g_n)."""
 
-    matrix: Matrix | None
+    matrix: Matrix
     alexander: LaurentPoly
     ideal_gens: tuple[LaurentPoly, LaurentPoly] | None = None
     det_a_prime: LaurentPoly | None = None
@@ -190,14 +190,14 @@ def wheel_euclidean_reduction(
 
 
 def wheel_module(n: int) -> ModulePresentation:
-    """Reduced module of the wheel-family closure: cyclic ideal generators,
-    det A'_n, and the generators' normalized product as the Alexander
-    polynomial.  matrix is None: no output reads A_n, so it is not built
-    (wheel_abf_matrix_closed(n) builds it)."""
+    """Reduced module of the wheel-family closure: closed-form matrix,
+    cyclic ideal generators, det A'_n, and the generators' normalized
+    product as the Alexander polynomial (no determinant of A_n)."""
+    matrix = wheel_abf_matrix_closed(n)
     gens, det_a_prime = wheel_euclidean_reduction(n)
     alexander = normalize_unit(gens[0] * gens[1])
     return ModulePresentation(
-        matrix=None, alexander=alexander, ideal_gens=gens, det_a_prime=det_a_prime
+        matrix=matrix, alexander=alexander, ideal_gens=gens, det_a_prime=det_a_prime
     )
 
 

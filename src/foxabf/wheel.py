@@ -29,7 +29,7 @@ from .coloring import (
     coloring_group,
 )
 from .ring import AbelianGroup, Matrix, normalize_unit, snf
-from .sequences import IdentityCheck, _Chebyshev, _run_cases, fib, lucas
+from .sequences import IdentityCheck, _run_cases, cheb_S_at, fib, lucas
 
 
 @dataclass(frozen=True)
@@ -111,9 +111,12 @@ def goeritz_equivalence_check(n: int) -> bool:
     group as the Fibonacci presentation."""
     if n < 1:
         raise ValueError("the wheel family starts at n = 1")
-    s_at_3 = _Chebyshev(1, 3)
-    s_prev, s_mid, s_next = (s_at_3.s(k) for k in (n - 2, n - 1, n))
-    goeritz = Matrix([[s_mid, 1 - s_next], [s_prev + 1, -s_mid]])
+    goeritz = Matrix(
+        [
+            [cheb_S_at(n - 1, 3), 1 - cheb_S_at(n, 3)],
+            [cheb_S_at(n - 2, 3) + 1, -cheb_S_at(n - 1, 3)],
+        ]
+    )
     return snf(goeritz) == snf(fibonacci_relation_matrix(n))
 
 

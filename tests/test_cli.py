@@ -189,12 +189,11 @@ def test_wheel_enumeration_cap_exits_2(capsys):
 
 
 def test_wheel_computes_the_module_once(capsys, monkeypatch):
-    a_primes = count_calls(monkeypatch, alexander, "_wheel_a_prime")
     builds = count_calls(monkeypatch, alexander, "wheel_abf_matrix_closed")
     modules = count_calls(monkeypatch, alexander, "wheel_module")
     code, _ = run(["wheel", "7"], capsys)
     assert code == 0
-    assert (len(a_primes), len(builds), len(modules)) == (1, 0, 1)
+    assert (len(builds), len(modules)) == (1, 1)
 
 
 def test_wheel_takes_one_determinant_and_one_division(capsys, monkeypatch):
@@ -287,10 +286,10 @@ def test_table_markdown(capsys):
 
 
 def test_table_builds_each_matrix_once(capsys, monkeypatch):
-    a_primes = count_calls(monkeypatch, alexander, "_wheel_a_prime")
+    builds = count_calls(monkeypatch, alexander, "wheel_abf_matrix_closed")
     code, _ = run(["table", "--from", "2", "--to", "11"], capsys)
     assert code == 0
-    assert [args[0] for args in a_primes] == list(range(2, 12))
+    assert [args[0] for args in builds] == list(range(2, 12))
 
 
 def test_table_bad_range_exits_2(capsys):

@@ -123,8 +123,8 @@ def test_brute_force_odd_order_mod_two():
 
 
 def per_assignment_count(word, modulus):
-    """The oracle before the coloring rule was propagated once per word:
-    every assignment is pushed through every letter."""
+    """Reference count: every assignment is pushed through every letter,
+    with no propagation shared between assignments."""
     ops = [(abs(letter) - 1, letter > 0) for letter in word.letters]
     count = 0
     for top in itertools.product(range(modulus), repeat=word.strands):
@@ -143,6 +143,23 @@ def per_assignment_count(word, modulus):
 
 
 def test_brute_force_matches_per_assignment_count():
+    def agrees(word, modulus):
+        assert brute_force_coloring_count(word, modulus) == per_assignment_count(
+            word, modulus
+        ), (word.strands, word.letters, modulus)
+
+    fixed = [
+        BraidWord(1),
+        BraidWord(4),
+        BraidWord(5, (1, 1, 1)),  # strands 3..5 untouched
+        BraidWord(5, (-4, 4, 4)),  # strands 1..3 untouched
+        BraidWord(6, (1, -2, 1, -2, 5, 5, 5)),  # split into 3 + 1 + 2 strands
+    ]
+    for word in fixed:
+        for modulus in range(2, 7):
+            if modulus**word.strands <= 20000:
+                agrees(word, modulus)
+    assert brute_force_coloring_count(BraidWord(4), 3) == 3**4
     rng = random.Random(20231018)
     cases = 0
     while cases < 400:
@@ -154,28 +171,8 @@ def test_brute_force_matches_per_assignment_count():
         letters = tuple(
             rng.choice((1, -1)) * rng.randint(1, strands - 1) for _ in range(length)
         )
-        word = BraidWord(strands, letters)
-        assert brute_force_coloring_count(word, modulus) == per_assignment_count(
-            word, modulus
-        ), (strands, letters, modulus)
+        agrees(BraidWord(strands, letters), modulus)
         cases += 1
-
-
-def test_brute_force_empty_and_split_words():
-    words = [
-        BraidWord(1),
-        BraidWord(4),
-        BraidWord(5, (1, 1, 1)),  # strands 3..5 untouched
-        BraidWord(5, (-4, 4, 4)),  # strands 1..3 untouched
-        BraidWord(6, (1, -2, 1, -2, 5, 5, 5)),  # split into 3 + 1 + 2 strands
-    ]
-    for word in words:
-        for modulus in range(2, 7):
-            if modulus**word.strands <= 20000:
-                assert brute_force_coloring_count(word, modulus) == per_assignment_count(
-                    word, modulus
-                ), (word.strands, word.letters, modulus)
-    assert brute_force_coloring_count(BraidWord(4), 3) == 3**4
 
 
 def test_brute_force_long_word_is_fast():
