@@ -85,10 +85,10 @@ def alexander_polynomial(word: BraidWord) -> LaurentPoly:
     return general_presentation(word).alexander
 
 
-def general_presentation(word: BraidWord, drop_index: int | None = None) -> ModulePresentation:
+def general_presentation(word: BraidWord) -> ModulePresentation:
     """Presentation + Alexander polynomial for an arbitrary braid word
     (no cyclic decomposition)."""
-    matrix = reduced_relation_matrix(word, drop_index)
+    matrix = reduced_relation_matrix(word)
     det = matrix.det()
     det = LaurentPoly.const(det) if isinstance(det, int) else det
     alexander = LaurentPoly.zero() if det.is_zero else normalize_unit(det)

@@ -17,7 +17,7 @@ from .alexander import general_presentation, wheel_module
 from .braid import _LETTER, BraidParseError, BraidWord, _echo, burau_property_check, parse_braid
 from .coloring import EnumerationLimitError, coloring_group
 from .ring import AbelianGroup, Matrix
-from .sequences import IdentityCheck, identity_suite, recurrence_solver_check
+from .sequences import identity_suite, recurrence_solver_check
 from .wheel import (
     cross_verify,
     fox_closed_form,
@@ -185,11 +185,12 @@ def _cmd_verify(parser, args) -> int:
         parser.error("--max-n and --max-index must be at least 1")
     if args.max_n > MAX_VERIFY_N or args.max_index > MAX_IDENTITY_INDEX:
         parser.error(f"--max-n is limited to {MAX_VERIFY_N}, --max-index to {MAX_IDENTITY_INDEX}")
-    checks: list[IdentityCheck] = list(identity_suite(args.max_index).checks)
-    checks.append(recurrence_solver_check(min(40, args.max_index)))
-    checks.append(burau_property_check())
-    checks.append(wheel_matrix_routes_check(args.max_n))
-    checks.append(wheel_cross_verify_check(args.max_n))
+    checks = identity_suite(args.max_index) + (
+        recurrence_solver_check(min(40, args.max_index)),
+        burau_property_check(),
+        wheel_matrix_routes_check(args.max_n),
+        wheel_cross_verify_check(args.max_n),
+    )
 
     document = {
         "command": "verify",

@@ -10,9 +10,9 @@ Symbolic values reuse LaurentPoly with the variable read as z; the
 substituted variants evaluate at z = 1 - t - t^{-1}.
 
 Every Chebyshev sequence is a _Chebyshev object that runs the recurrence
-from x_0 and x_1 = z: module-level objects for S_n and T_n in z and for
-the substituted S_n grow on demand; cheb_S_at and the recurrence solver
-build one per call.
+from x_0 and x_1 = z: module-level objects for S_n and T_n in z, for the
+substituted S_n and for S_n at each integer base cheb_S_at has seen grow on
+demand; the recurrence solver builds one per call.
 """
 
 from __future__ import annotations
@@ -85,6 +85,7 @@ class _Chebyshev:
 _CHEB_S = _Chebyshev(LaurentPoly.one(), Z_VAR)
 _CHEB_T = _Chebyshev(LaurentPoly.const(2), Z_VAR)
 _CHEB_S_SUBST = _Chebyshev(LaurentPoly.one(), Z_OF_T)
+_CHEB_S_AT: dict[int, _Chebyshev] = {}  # S_n(x0) by integer base x0
 
 
 def cheb_S(n: int) -> LaurentPoly:
@@ -99,7 +100,10 @@ def cheb_T(n: int) -> LaurentPoly:
 
 def cheb_S_at(n: int, x0: int) -> int:
     """S_n evaluated at the integer x0."""
-    return _Chebyshev(1, x0).s(n)
+    seq = _CHEB_S_AT.get(x0)
+    if seq is None:
+        seq = _CHEB_S_AT.setdefault(x0, _Chebyshev(1, x0))
+    return seq.s(n)
 
 
 def cheb_S_subst(n: int) -> LaurentPoly:
@@ -163,16 +167,6 @@ class IdentityCheck:
         return self.counterexample is None
 
 
-@dataclass(frozen=True)
-class IdentityReport:
-    max_index: int
-    checks: tuple[IdentityCheck, ...]
-
-    @property
-    def all_passed(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-
 def _sign(k: int) -> int:
     return -1 if k % 2 else 1
 
@@ -186,7 +180,7 @@ def _run_cases(name: str, cases) -> IdentityCheck:
     return IdentityCheck(name, count)
 
 
-def identity_suite(max_index: int) -> IdentityReport:
+def identity_suite(max_index: int) -> tuple[IdentityCheck, ...]:
     """Exhaustively verify the Fibonacci/Lucas/Chebyshev identities up to
     the given index bound; symbolic identities are exact polynomial
     equalities, Fibonacci ones exact integer equalities."""
@@ -197,18 +191,11 @@ def identity_suite(max_index: int) -> IdentityReport:
     s = cheb_S
     t = cheb_T
 
-    # prefix sums of S_0..S_k split by parity, for the product-to-sum sums
-    svals = [s(i) for i in range(2 * m + 2)]
-    prefix = [LaurentPoly.zero()]
-    for v in svals:
-        prefix.append(prefix[-1] + v)
-
-    def s_range_sum(lo: int, hi: int) -> LaurentPoly:
-        # sum of S_i for lo <= i <= hi with i = lo, lo+2, ..., hi
-        total = LaurentPoly.zero()
-        for i in range(lo, hi + 1, 2):
-            total = total + s(i)
-        return total
+    # same-parity prefix sums par[i] = S_i + S_{i-2} + ..., par[-1] = par[-2] = 0,
+    # so S_lo + S_{lo+2} + ... + S_hi = par[hi] - par[lo - 2]
+    par = {-2: LaurentPoly.zero(), -1: LaurentPoly.zero()}
+    for i in range(2 * m + 2):
+        par[i] = par[i - 2] + s(i)
 
     checks = [
         _run_cases(
@@ -271,7 +258,7 @@ def identity_suite(max_index: int) -> IdentityReport:
         _run_cases(
             "cheb_SS_product_to_sum",
             (
-                (f"m={a}, n={b}", s(a) * s(b) == s_range_sum(a - b, a + b))
+                (f"m={a}, n={b}", s(a) * s(b) == par[a + b] - par[a - b - 2])
                 for a in range(0, m + 1)
                 for b in range(0, a + 1)
             ),
@@ -279,14 +266,14 @@ def identity_suite(max_index: int) -> IdentityReport:
         _run_cases(
             "cheb_sum_even_prefix",
             (
-                (f"k={k}", s(k) * (s(k) + s(k - 1)) == prefix[2 * k + 1])
+                (f"k={k}", s(k) * (s(k) + s(k - 1)) == par[2 * k] + par[2 * k - 1])
                 for k in range(0, m + 1)
             ),
         ),
         _run_cases(
             "cheb_sum_odd_prefix",
             (
-                (f"k={k}", s(k) * (s(k) + s(k + 1)) == prefix[2 * k + 2])
+                (f"k={k}", s(k) * (s(k) + s(k + 1)) == par[2 * k + 1] + par[2 * k])
                 for k in range(0, m + 1)
             ),
         ),
@@ -313,7 +300,7 @@ def identity_suite(max_index: int) -> IdentityReport:
             ),
         ),
     ]
-    return IdentityReport(max_index=m, checks=tuple(checks))
+    return tuple(checks)
 
 
 def recurrence_solver_check(max_n: int) -> IdentityCheck:

@@ -167,9 +167,7 @@ def test_criterion_6_identity_suites():
         if fib(2 * n - 1) - 1 != split:
             problems.append(f"odd-index-minus-one n={n}")
 
-    symbolic = identity_suite(40)
-    if not symbolic.all_passed:
-        problems.extend(c.name for c in symbolic.checks if not c.passed)
+    problems.extend(c.name for c in identity_suite(40) if not c.passed)
 
     rng = random.Random(1234)
     for trial in range(30):

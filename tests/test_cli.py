@@ -245,10 +245,8 @@ def test_verify_degenerate(capsys):
 
 def test_verify_reports_failure(capsys, monkeypatch):
     # simulate a corrupted build: one suite yields a counterexample
-    class FakeReport:
-        checks = (IdentityCheck("broken_suite", 3, "m=1, n=2"),)
-
-    monkeypatch.setattr(cli, "identity_suite", lambda max_index: FakeReport())
+    broken = (IdentityCheck("broken_suite", 3, "m=1, n=2"),)
+    monkeypatch.setattr(cli, "identity_suite", lambda max_index: broken)
     code, out = run(["verify", "--max-n", "1", "--max-index", "2"], capsys)
     assert code == 1
     assert "FAIL broken_suite" in out

@@ -113,6 +113,23 @@ def test_cheb_S_at_is_an_int_equal_to_the_two_variable_loop():
             assert value == two_variable_loop(n, x0), (n, x0)
 
 
+def test_cheb_S_at_keeps_one_sequence_per_base(monkeypatch):
+    built = []
+
+    class CountingChebyshev(sequences._Chebyshev):
+        def __init__(self, x0, z):
+            built.append(z)
+            super().__init__(x0, z)
+
+    monkeypatch.setattr(sequences, "_Chebyshev", CountingChebyshev)
+    monkeypatch.setattr(sequences, "_CHEB_S_AT", {}, raising=False)
+    values = [cheb_S_at(n, 3) for n in (5, 2, 40, -3, 40)]
+    assert values == [144, 8, fib(82), -3, fib(82)]
+    assert built == [3]
+    assert cheb_S_at(2, 4) == 15
+    assert built == [3, 4]
+
+
 @pytest.mark.parametrize(
     "name, cache, x0, z",
     [
@@ -236,12 +253,23 @@ def test_recurrence_solver_check_passes():
 
 
 def test_identity_suite_all_pass():
-    report = identity_suite(10)
-    assert report.all_passed
-    names = {c.name for c in report.checks}
+    checks = identity_suite(10)
+    assert all(c.passed for c in checks)
+    names = {c.name for c in checks}
     assert "fib_lucas_product_to_sum" in names
     assert "cheb_SS_product_to_sum" in names
-    assert all(c.cases > 0 for c in report.checks)
+    assert all(c.cases > 0 for c in checks)
+
+
+def test_identity_suite_sum_checks_catch_a_wrong_S_k(monkeypatch):
+    # the parity-prefix table is summed from the same S_k as the products,
+    # so an S_5 off by one must still fail every check that sums S values
+    exact = sequences.cheb_S
+    monkeypatch.setattr(
+        sequences, "cheb_S", lambda n: exact(n) + LaurentPoly.one() if n == 5 else exact(n)
+    )
+    failed = {c.name for c in identity_suite(10) if not c.passed}
+    assert {"cheb_SS_product_to_sum", "cheb_sum_even_prefix", "cheb_sum_odd_prefix"} <= failed
 
 
 def test_identity_suite_rejects_bad_bound():
