@@ -31,13 +31,15 @@ presentation:
   3 - t - t^{-1} for even n, and det A_n equals the determinant of the
   Burau-route reduced matrix (middle strand dropped).
 
-The closed route builds A'_n = A_n / (-g_n) from g_{n-1} and g_{n+1},
+The closed route builds A_n from the two products p = g_n*g_{n+1} and
+q = g_n*g_{n-1} as [[-p - t^{-1}*q, t^{-1}*q], [t*p, -p - t*q]].
+wheel_euclidean_reduction builds A'_n = A_n / (-g_n) from g_{n-1} and
+g_{n+1},
 
       [ g_{n+1} + t^{-1}*g_{n-1}    -t^{-1}*g_{n-1}          ]
       [ -t*g_{n+1}                  g_{n+1} + t*g_{n-1}      ]
 
-and multiplies it by -g_n.  wheel_euclidean_reduction takes the same
-A'_n, replays the column operations that bring the first row to
+replays the column operations that bring the first row to
 (g_{n+1}, g_{n-1}), and runs the Euclidean descent: n//2 - 1 steps of the
 Chebyshev recurrence col1, col2 <- col2, z*col2 - col1, then one cleanup
 (col1 -= u*col2, swap) that takes the first row from (u, 1) to (1, 0).
@@ -140,10 +142,13 @@ def _wheel_a_prime(n: int) -> tuple[LaurentPoly, Matrix]:
 
 
 def wheel_abf_matrix_closed(n: int) -> Matrix:
-    """Wheel presentation from the Chebyshev closed form, -g_n * A'_n."""
-    g, aprime = _wheel_a_prime(n)
-    neg_g = -g
-    return aprime.map(lambda entry: neg_g * entry)
+    """Wheel presentation from the Chebyshev closed form, built from the
+    two products p = g_n*g_{n+1} and q = g_n*g_{n-1}."""
+    if n < 1:
+        raise ValueError("the wheel family starts at n = 1")
+    g = wheel_g(n)
+    p, q = g * wheel_g(n + 1), g * wheel_g(n - 1)
+    return Matrix([[-p - q.shift(-1), q.shift(-1)], [p.shift(1), -p - q.shift(1)]])
 
 
 def wheel_euclidean_reduction(

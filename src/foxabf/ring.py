@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Sequence, Union
+from typing import Iterable, Mapping, Sequence, Union
 
 
 class InexactDivisionError(ArithmeticError):
@@ -378,15 +378,6 @@ class Matrix:
     def __hash__(self):
         return hash((self.rows, self.cols, self._data))
 
-    def __sub__(self, other):
-        if not isinstance(other, Matrix):
-            return NotImplemented
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("matrix dimensions do not match")
-        return Matrix(
-            [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(self._data, other._data)]
-        )
-
     def __mul__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
@@ -399,25 +390,6 @@ class Matrix:
         for arow in self._data:
             out.append([_dot(arow, bcol) for bcol in bt])
         return Matrix(out)
-
-    def map(self, fn: Callable) -> "Matrix":
-        return Matrix([[fn(a) for a in row] for row in self._data])
-
-    def delete_row_col(self, i: int, j: int) -> "Matrix":
-        """Matrix with row i and column j removed (0-based)."""
-        if not (0 <= i < self.rows and 0 <= j < self.cols):
-            raise IndexError("row/column index out of range")
-        if self.rows == 1 and self.cols == 1:
-            return Matrix([])
-        if self.rows == 1 or self.cols == 1:
-            raise ValueError("result would be empty in one dimension only")
-        return Matrix(
-            [
-                [a for jj, a in enumerate(row) if jj != j]
-                for ii, row in enumerate(self._data)
-                if ii != i
-            ]
-        )
 
     def det(self) -> Ring:
         """Exact determinant by fraction-free (Bareiss) elimination, which

@@ -32,6 +32,8 @@ DET_EVEN = 3 - T - TI  # det A' for even n
 
 def test_identity_braid_two_strands():
     assert reduced_relation_matrix(BraidWord(2)) == Matrix([[LaurentPoly.zero()]])
+    # one strand: its row and column are the whole matrix, leaving 0x0
+    assert reduced_relation_matrix(BraidWord(1)) == Matrix([])
 
 
 def test_wheel_two_drop_middle_det():
@@ -116,7 +118,7 @@ def test_recursive_first_step():
 
 
 def test_routes_agree_entrywise():
-    for n in range(1, 31):
+    for n in [*range(1, 31), 64, 101]:
         assert wheel_abf_matrix_recursive(n) == wheel_abf_matrix_closed(n), n
 
 
@@ -145,7 +147,9 @@ def test_det_matches_burau_route():
 
 def test_closed_matrix_at_minus_one_presents_fox_group():
     for n in range(1, 13):
-        specialized = wheel_abf_matrix_closed(n).map(lambda p: p.at_minus_one())
+        specialized = Matrix(
+            [[p.at_minus_one() for p in row] for row in wheel_abf_matrix_closed(n).entries()]
+        )
         fibonacci = Matrix(
             [[fib(2 * n), fib(2 * n - 1) - 1], [fib(2 * n + 1) - 1, fib(2 * n)]]
         )

@@ -196,6 +196,15 @@ def test_wheel_computes_the_module_once(capsys, monkeypatch):
     assert (len(builds), len(modules)) == (1, 1)
 
 
+def test_wheel_builds_a_prime_once(capsys, monkeypatch):
+    # the closed A_n comes from two products, not from A'_n; only the
+    # Euclidean reduction builds A'_n
+    builds = count_calls(monkeypatch, alexander, "_wheel_a_prime")
+    code, _ = run(["wheel", "7"], capsys)
+    assert code == 0
+    assert len(builds) == 1
+
+
 def test_wheel_takes_one_determinant_and_one_division(capsys, monkeypatch):
     # A'_n = A_n / (-g_n) is built from g_{n-1} and g_{n+1}, and the
     # Alexander polynomial is the product of the ideal generators, so the

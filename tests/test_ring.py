@@ -331,12 +331,6 @@ def test_bareiss_matches_expansion_laurent():
         assert m.det() == _det_permanent_oracle(m)
 
 
-def test_delete_row_col():
-    m = Matrix([[1, 2, 3], [4, 5, 6], [7, 8, 9]])
-    assert m.delete_row_col(1, 1) == Matrix([[1, 3], [7, 9]])
-    assert Matrix([[5]]).delete_row_col(0, 0).rows == 0
-
-
 # -- Smith normal form -------------------------------------------------------
 
 
