@@ -9,9 +9,10 @@ round-trips byte-identically through json.loads/render_json.  Exit codes:
 
 from __future__ import annotations
 
-import argparse
 import json
+import re
 import sys
+from types import SimpleNamespace
 
 from .alexander import general_presentation, wheel_module
 from .braid import _LETTER, BraidParseError, BraidWord, _echo, burau_property_check, parse_braid
@@ -61,25 +62,30 @@ def _emit(document: dict, fmt: str, text_lines: list[str]) -> None:
             print(line)
 
 
+class _UsageError(ValueError):
+    """A usage error: main() prints it under the usage line and exits 2."""
+
+
 def _ascii_int(text: str) -> int:
-    """argparse type: an optionally signed integer in ASCII digits."""
+    """Type of the integer arguments: an optionally signed integer in ASCII
+    digits."""
     if _LETTER.fullmatch(text):
         try:
             return int(text)
         except ValueError:  # more digits than int() converts
             pass
-    raise argparse.ArgumentTypeError(f"invalid integer {_echo(text)}")
+    raise _UsageError(f"invalid integer {_echo(text)}")
 
 
-def _parse_braid_arg(parser: argparse.ArgumentParser, text: str, strands: int | None) -> BraidWord:
+def _parse_braid_arg(text: str, strands: int | None) -> BraidWord:
     try:
         return parse_braid(text, strands=strands)
     except BraidParseError as exc:
-        parser.error(str(exc))  # exits 2
+        raise _UsageError(str(exc)) from None
 
 
-def _cmd_colorgroup(parser, args) -> int:
-    word = _parse_braid_arg(parser, args.braid, args.strands)
+def _cmd_colorgroup(args) -> int:
+    word = _parse_braid_arg(args.braid, args.strands)
     result = coloring_group(word)
     document = {
         "command": "colorgroup",
@@ -99,8 +105,8 @@ def _cmd_colorgroup(parser, args) -> int:
     return 0
 
 
-def _cmd_abf(parser, args) -> int:
-    word = _parse_braid_arg(parser, args.braid, args.strands)
+def _cmd_abf(args) -> int:
+    word = _parse_braid_arg(args.braid, args.strands)
     presentation = general_presentation(word)
     document = {
         "command": "abf",
@@ -123,18 +129,18 @@ def _cmd_abf(parser, args) -> int:
     return 0
 
 
-def _cmd_wheel(parser, args) -> int:
+def _cmd_wheel(args) -> int:
     if args.n < 1:
-        parser.error("n must be at least 1")
+        raise _UsageError("n must be at least 1")
     if args.n > MAX_WHEEL_INDEX:
-        parser.error(f"n = {_echo(args.n)} exceeds the limit of {MAX_WHEEL_INDEX}")
+        raise _UsageError(f"n = {_echo(args.n)} exceeds the limit of {MAX_WHEEL_INDEX}")
     moduli = tuple(args.moduli or ())
     if any(m < 2 for m in moduli):
-        parser.error("every modulus must be at least 2")
+        raise _UsageError("every modulus must be at least 2")
     try:
         report = cross_verify(args.n, brute_force_moduli=moduli)
     except EnumerationLimitError as exc:
-        parser.error(str(exc))
+        raise _UsageError(str(exc)) from None
     module = report.module
     gens = module.ideal_gens
     document = {
@@ -180,11 +186,13 @@ def _cmd_wheel(parser, args) -> int:
     return 0 if report.all_consistent else 1
 
 
-def _cmd_verify(parser, args) -> int:
+def _cmd_verify(args) -> int:
     if args.max_n < 1 or args.max_index < 1:
-        parser.error("--max-n and --max-index must be at least 1")
+        raise _UsageError("--max-n and --max-index must be at least 1")
     if args.max_n > MAX_VERIFY_N or args.max_index > MAX_IDENTITY_INDEX:
-        parser.error(f"--max-n is limited to {MAX_VERIFY_N}, --max-index to {MAX_IDENTITY_INDEX}")
+        raise _UsageError(
+            f"--max-n is limited to {MAX_VERIFY_N}, --max-index to {MAX_IDENTITY_INDEX}"
+        )
     checks = identity_suite(args.max_index) + (
         recurrence_solver_check(min(40, args.max_index)),
         burau_property_check(),
@@ -219,15 +227,17 @@ def _cmd_verify(parser, args) -> int:
     return 0 if ok else 1
 
 
-def _cmd_table(parser, args) -> int:
+def _cmd_table(args) -> int:
     if args.from_n < 1 or args.from_n > args.to_n:
-        parser.error("need 1 <= --from <= --to")
+        raise _UsageError("need 1 <= --from <= --to")
     if args.to_n > MAX_TABLE_INDEX:
-        parser.error(f"--to {_echo(args.to_n)} exceeds the limit of {MAX_TABLE_INDEX}")
+        raise _UsageError(f"--to {_echo(args.to_n)} exceeds the limit of {MAX_TABLE_INDEX}")
     indices = range(args.from_n, args.to_n + 1)
     cubes = sum(n**3 for n in indices)
     if cubes > MAX_TABLE_CUBES:
-        parser.error(f"the range's sum of n^3, {cubes}, exceeds the limit of {MAX_TABLE_CUBES}")
+        raise _UsageError(
+            f"the range's sum of n^3, {cubes}, exceeds the limit of {MAX_TABLE_CUBES}"
+        )
     rows = []
     for n in indices:
         group = fox_closed_form(n)
@@ -265,61 +275,196 @@ def _cmd_table(parser, args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="foxabf",
-        description=(
-            "Exact Fox coloring groups and Alexander-Burau-Fox modules of "
-            "braid closures, with closed-form cross-checks for the wheel family."
-        ),
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+_DESCRIPTION = (
+    "Exact Fox coloring groups and Alexander-Burau-Fox modules of braid closures,\n"
+    "with closed-form cross-checks for the wheel family."
+)
+_REQUIRED = object()  # the default of an option that must be given
+_FORMAT = ("format", ("text", "json"), False, "text")
+_BRAID_OPTIONS = {"--strands": ("strands", _ascii_int, False, None), "--format": _FORMAT}
 
-    p_color = sub.add_parser("colorgroup", help="reduced Fox coloring group of a braid closure")
-    p_color.add_argument("braid", help='braid word, e.g. "1 -2 1 -2"')
-    p_color.add_argument("--strands", type=_ascii_int, default=None, help="strand count override")
-    p_color.add_argument("--format", choices=("text", "json"), default="text")
-
-    p_abf = sub.add_parser("abf", help="reduced ABF presentation and Alexander polynomial")
-    p_abf.add_argument("braid", help='braid word, e.g. "1 -2 1 -2"')
-    p_abf.add_argument("--strands", type=_ascii_int, default=None, help="strand count override")
-    p_abf.add_argument("--format", choices=("text", "json"), default="text")
-
-    p_wheel = sub.add_parser("wheel", help="cross-verified report for one wheel index")
-    p_wheel.add_argument("n", type=_ascii_int, help="number of spokes (>= 1)")
-    p_wheel.add_argument(
-        "--moduli", type=_ascii_int, nargs="*", default=None, help="brute-force coloring moduli"
-    )
-    p_wheel.add_argument("--format", choices=("text", "json"), default="text")
-
-    p_verify = sub.add_parser("verify", help="run every identity and cross-route suite")
-    p_verify.add_argument("--max-n", type=_ascii_int, default=20, dest="max_n")
-    p_verify.add_argument("--max-index", type=_ascii_int, default=40, dest="max_index")
-    p_verify.add_argument("--format", choices=("text", "json"), default="text")
-
-    p_table = sub.add_parser("table", help="closed-form table over a range of wheel indices")
-    p_table.add_argument("--from", type=_ascii_int, required=True, dest="from_n")
-    p_table.add_argument("--to", type=_ascii_int, required=True, dest="to_n")
-    p_table.add_argument(
-        "--format", choices=("text", "json", "csv", "markdown"), default="text"
-    )
-
-    return parser
-
-
-_HANDLERS = {
-    "colorgroup": _cmd_colorgroup,
-    "abf": _cmd_abf,
-    "wheel": _cmd_wheel,
-    "verify": _cmd_verify,
-    "table": _cmd_table,
+# The command-line grammar.  Each subcommand has its handler, a help line,
+# its positional (name, type) or None, and its options, each mapping to
+# (dest, type, many, default).  A type is a function of the token text or a
+# tuple of choices; an option with many set takes every value up to the
+# next option.  Every subcommand also takes -h/--help.
+_GRAMMAR = {
+    "colorgroup": (
+        _cmd_colorgroup,
+        "reduced Fox coloring group of a braid closure",
+        ("braid", str),
+        _BRAID_OPTIONS,
+    ),
+    "abf": (
+        _cmd_abf,
+        "reduced ABF presentation and Alexander polynomial",
+        ("braid", str),
+        _BRAID_OPTIONS,
+    ),
+    "wheel": (
+        _cmd_wheel,
+        "cross-verified report for one wheel index",
+        ("n", _ascii_int),
+        {"--moduli": ("moduli", _ascii_int, True, None), "--format": _FORMAT},
+    ),
+    "verify": (
+        _cmd_verify,
+        "run every identity and cross-route suite",
+        None,
+        {
+            "--max-n": ("max_n", _ascii_int, False, 20),
+            "--max-index": ("max_index", _ascii_int, False, 40),
+            "--format": _FORMAT,
+        },
+    ),
+    "table": (
+        _cmd_table,
+        "closed-form table over a range of wheel indices",
+        None,
+        {
+            "--from": ("from_n", _ascii_int, False, _REQUIRED),
+            "--to": ("to_n", _ascii_int, False, _REQUIRED),
+            "--format": ("format", ("text", "json", "csv", "markdown"), False, "text"),
+        },
+    ),
 }
+
+# A token that starts with "-" but reads as a negative number is positional
+# (argparse's pattern), so "-1" is a braid word.
+_NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")
+
+
+def _usage(command: str | None) -> str:
+    if command is None:
+        return "usage: foxabf [-h] {" + ",".join(_GRAMMAR) + "} ..."
+    _, _, positional, options = _GRAMMAR[command]
+    parts = [f"usage: foxabf {command} [-h]"]
+    for name, (dest, kind, many, default) in options.items():
+        meta = "{" + ",".join(kind) + "}" if isinstance(kind, tuple) else dest.upper()
+        usage = f"{name} [{meta} ...]" if many else f"{name} {meta}"
+        parts.append(usage if default is _REQUIRED else f"[{usage}]")
+    if positional is not None:
+        parts.append(positional[0])
+    return " ".join(parts)
+
+
+def _help(command: str | None):
+    print(_usage(command) + "\n")
+    if command is None:
+        print(_DESCRIPTION + "\n")
+        for name, (_, line, _, _) in _GRAMMAR.items():
+            print(f"  {name:<12}{line}")
+    else:
+        print(_GRAMMAR[command][1])
+    raise SystemExit(0)
+
+
+def _option(token: str, names) -> tuple[str | None, str | None] | None:
+    """None if the token is positional, else (the option in ``names`` it
+    names, None for an unknown option; the text after "=", or None).  A
+    long option may be shortened to any unique prefix."""
+    if token.startswith("--") and token != "--":
+        name, eq, value = token.partition("=")
+        matches = [option for option in names if option.startswith(name)]
+        if name in names:
+            matches = [name]
+        if len(matches) > 1:
+            raise _UsageError(f"ambiguous option: {_echo(name)} could match {', '.join(matches)}")
+        if matches:
+            return matches[0], value if eq else None
+    elif token.startswith("-h"):
+        return "--help", token[2:].removeprefix("=") if len(token) > 2 else None
+    if token[:1] != "-" or token == "-" or _NEGATIVE_NUMBER.match(token) or " " in token:
+        return None
+    return None, None
+
+
+def _convert(label: str, kind, text: str):
+    if isinstance(kind, tuple):
+        if text in kind:
+            return text
+        choices = ", ".join(repr(choice) for choice in kind)
+        raise _UsageError(
+            f"argument {label}: invalid choice: {_echo(text)} (choose from {choices})"
+        )
+    try:
+        return kind(text)
+    except _UsageError as exc:
+        raise _UsageError(f"argument {label}: {exc}") from None
+
+
+def _parse(argv: list[str]) -> SimpleNamespace:
+    """The subcommand and its arguments as _GRAMMAR reads them.
+
+    Options may come before or after the positional, as --opt value or
+    --opt=value, and the last repeat of an option wins.  After the first
+    "--" every token is positional.  Raises _UsageError, or SystemExit(0)
+    once -h/--help has printed the usage.
+    """
+    if not argv:
+        raise _UsageError("the following arguments are required: command")
+    if _option(argv[0], ("--help",)) == ("--help", None):
+        _help(None)
+    command, tokens = _convert("command", tuple(_GRAMMAR), argv[0]), argv[1:]
+    _, _, positional, options = _GRAMMAR[command]
+    split = tokens.index("--") if "--" in tokens else len(tokens)
+    kinds = [_option(token, ("--help", *options)) for token in tokens[:split]]
+    kinds += [None] * (len(tokens) - split)
+    values = {dest: default for dest, _, _, default in options.values()}
+    filled_at = None  # index of the token that gave the positional
+    extras = []
+    i = 0
+    while i < len(tokens):
+        at, token, kind = i, tokens[i], kinds[i]
+        i += 1
+        if at == split:
+            # the first "--" belongs to a positional it stands next to
+            if positional is None or filled_at not in (None, at - 1):
+                extras.append(token)
+        elif kind is None and positional is not None and filled_at is None:
+            values[positional[0]] = _convert(*positional, token)
+            filled_at = at
+        elif kind is None or kind[0] is None:
+            extras.append(token)
+        elif kind[0] == "--help":
+            if kind[1] is not None:
+                raise _UsageError(f"argument -h/--help: ignored explicit argument {_echo(kind[1])}")
+            _help(command)
+        else:
+            name, value = kind
+            dest, type_, many, _ = options[name]
+            if value is not None:
+                texts = [value]
+            else:
+                end = i
+                while end < split and kinds[end] is None and (many or end == i):
+                    end += 1
+                texts, i = tokens[i:end], end
+                if not texts and not many:
+                    raise _UsageError(f"argument {name}: expected one argument")
+            converted = [_convert(name, type_, text) for text in texts]
+            values[dest] = converted if many else converted[0]
+    missing = [name for name, (dest, _, _, _) in options.items() if values[dest] is _REQUIRED]
+    if positional is not None and filled_at is None:
+        missing.insert(0, positional[0])
+    if missing:
+        raise _UsageError(f"the following arguments are required: {', '.join(missing)}")
+    if extras:
+        raise _UsageError(f"unrecognized arguments: {' '.join(map(_echo, extras))}")
+    return SimpleNamespace(command=command, **values)
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    return _HANDLERS[args.command](parser, args)
+    if argv is None:
+        argv = sys.argv[1:]
+    command = argv[0] if argv and argv[0] in _GRAMMAR else None
+    try:
+        args = _parse(argv)
+        return _GRAMMAR[command][0](args)
+    except _UsageError as exc:
+        prog = "foxabf" if command is None else f"foxabf {command}"
+        sys.stderr.write(f"{_usage(command)}\n{prog}: error: {exc}\n")
+        raise SystemExit(2) from None
 
 
 if __name__ == "__main__":

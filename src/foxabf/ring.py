@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence, Union
+from collections.abc import Iterable, Mapping, Sequence
 
 
 class InexactDivisionError(ArithmeticError):
@@ -248,7 +248,7 @@ class LaurentPoly:
         return f"LaurentPoly('{self.to_str()}')"
 
 
-Ring = Union[int, LaurentPoly]
+Ring = int | LaurentPoly
 
 # shorter-operand length from which a product is one big-int multiplication;
 # most products have 1-3 coefficients, where packing costs 3-7 times the
@@ -426,10 +426,11 @@ def _entry_div_exact(a, b):
 
 
 def _det_bareiss(a):
-    # fraction-free elimination; every division is exact in the entry ring
+    # fraction-free elimination; every division is exact in the entry ring.
+    # The first step's divisor, the initial previous pivot, is 1: skip it.
     n = len(a)
     sign = 1
-    prev = 1
+    prev = None
     for k in range(n - 1):
         if not a[k][k]:
             for r in range(k + 1, n):
@@ -441,7 +442,8 @@ def _det_bareiss(a):
                 return a[k][k] * 0
         for i in range(k + 1, n):
             for j in range(k + 1, n):
-                a[i][j] = _entry_div_exact(a[i][j] * a[k][k] - a[i][k] * a[k][j], prev)
+                entry = a[i][j] * a[k][k] - a[i][k] * a[k][j]
+                a[i][j] = entry if prev is None else _entry_div_exact(entry, prev)
         prev = a[k][k]
     return sign * a[n - 1][n - 1]
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Sequence
+from collections.abc import Sequence
 
 from .ring import LaurentPoly
 

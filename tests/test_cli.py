@@ -1,7 +1,10 @@
 """CLI behavior: outputs, exit codes, and deterministic JSON."""
 
+import argparse
 import json
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -116,6 +119,9 @@ LONG = "9" * 4300  # converts, but the strand count it implies would not
         ["colorgroup", "1", "--strands", LONG],
         ["colorgroup", json.dumps({"letters": [NINES]})],
         ["wheel", "3", "--moduli", "9" * 2000],
+        ["wheel", "3", "--bogus" + "9" * 5000],
+        ["table", "--from", "1", "--to", "3", "--format", "9" * 3000],
+        ["9" * 3000],
     ],
 )
 def test_oversized_integer_exits_2_with_a_short_message(argv, capsys):
@@ -179,6 +185,10 @@ def test_wheel_zero_exits_2(capsys):
     with pytest.raises(SystemExit) as info:
         cli.main(["wheel", "0"])
     assert info.value.code == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "usage: foxabf wheel [-h] [--moduli [MODULI ...]] [--format {text,json}] n",
+        "foxabf wheel: error: n must be at least 1",
+    ]
 
 
 def test_wheel_enumeration_cap_exits_2(capsys):
@@ -205,15 +215,16 @@ def test_wheel_builds_a_prime_once(capsys, monkeypatch):
     assert len(builds) == 1
 
 
-def test_wheel_takes_one_determinant_and_one_division(capsys, monkeypatch):
+def test_wheel_takes_one_determinant_and_no_division(capsys, monkeypatch):
     # A'_n = A_n / (-g_n) is built from g_{n-1} and g_{n+1}, and the
     # Alexander polynomial is the product of the ideal generators, so the
-    # one determinant is det A'_n and its Bareiss step the one division
+    # one determinant is det A'_n; its one Bareiss step would divide by the
+    # initial pivot 1, which det skips
     divisions = count_calls(monkeypatch, ring, "divide_exact")
     dets = count_calls(monkeypatch, ring.Matrix, "det")
     code, _ = run(["wheel", "7"], capsys)
     assert code == 0
-    assert (len(divisions), len(dets)) == (1, 1)
+    assert (len(divisions), len(dets)) == (0, 1)
 
 
 @pytest.mark.parametrize(
@@ -332,3 +343,217 @@ def test_json_round_trip(argv, capsys):
     assert code == 0
     reparsed = json.loads(out)
     assert cli.render_json(reparsed) + "\n" == out
+
+
+# -- the command-line grammar ------------------------------------------------------------
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The argparse parser the CLI once used: the reference grammar for the
+    differential test below."""
+    parser = argparse.ArgumentParser(
+        prog="foxabf",
+        description=(
+            "Exact Fox coloring groups and Alexander-Burau-Fox modules of "
+            "braid closures, with closed-form cross-checks for the wheel family."
+        ),
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    p_color = sub.add_parser("colorgroup", help="reduced Fox coloring group of a braid closure")
+    p_color.add_argument("braid", help='braid word, e.g. "1 -2 1 -2"')
+    p_color.add_argument("--strands", type=cli._ascii_int, default=None, help="strand count override")
+    p_color.add_argument("--format", choices=("text", "json"), default="text")
+
+    p_abf = sub.add_parser("abf", help="reduced ABF presentation and Alexander polynomial")
+    p_abf.add_argument("braid", help='braid word, e.g. "1 -2 1 -2"')
+    p_abf.add_argument("--strands", type=cli._ascii_int, default=None, help="strand count override")
+    p_abf.add_argument("--format", choices=("text", "json"), default="text")
+
+    p_wheel = sub.add_parser("wheel", help="cross-verified report for one wheel index")
+    p_wheel.add_argument("n", type=cli._ascii_int, help="number of spokes (>= 1)")
+    p_wheel.add_argument(
+        "--moduli", type=cli._ascii_int, nargs="*", default=None, help="brute-force coloring moduli"
+    )
+    p_wheel.add_argument("--format", choices=("text", "json"), default="text")
+
+    p_verify = sub.add_parser("verify", help="run every identity and cross-route suite")
+    p_verify.add_argument("--max-n", type=cli._ascii_int, default=20, dest="max_n")
+    p_verify.add_argument("--max-index", type=cli._ascii_int, default=40, dest="max_index")
+    p_verify.add_argument("--format", choices=("text", "json"), default="text")
+
+    p_table = sub.add_parser("table", help="closed-form table over a range of wheel indices")
+    p_table.add_argument("--from", type=cli._ascii_int, required=True, dest="from_n")
+    p_table.add_argument("--to", type=cli._ascii_int, required=True, dest="to_n")
+    p_table.add_argument(
+        "--format", choices=("text", "json", "csv", "markdown"), default="text"
+    )
+
+    return parser
+
+
+def parsed_by(parse, argv):
+    """(parsed values, None) or (None, exit code) of one parse of argv."""
+    try:
+        return vars(parse(argv)), None
+    except SystemExit as exc:
+        return None, exc.code
+    except cli._UsageError:  # main() exits 2 on it
+        return None, 2
+
+
+GRAMMAR_CORPUS = [
+    # option order and "=" forms
+    ["colorgroup", "1 -2", "--strands", "3", "--format", "json"],
+    ["colorgroup", "--format", "json", "--strands", "3", "1 -2"],
+    ["colorgroup", "--strands=3", "1", "--format=json"],
+    ["abf", "--format=text", "1 -2 1 -2"],
+    ["wheel", "--format", "json", "5"],
+    ["table", "--to=3", "--from=1", "--format=csv"],
+    ["table", "--from=-1", "--to", "3"],
+    ["verify", "--max-index=4", "--max-n", "3"],
+    # unique and ambiguous prefixes
+    ["colorgroup", "1", "--form", "json"],
+    ["colorgroup", "1", "--form=json"],
+    ["colorgroup", "--s", "4", "--f", "json", "1"],
+    ["verify", "--m", "3"],
+    ["verify", "--max-", "3"],
+    ["verify", "--max-i", "3", "--max-n", "2"],
+    ["table", "--f", "1", "--to", "3"],
+    ["table", "--fr", "1", "--t", "3", "--fo", "markdown"],
+    ["colorgroup", "--=x", "1"],
+    # repeated options: the last one wins
+    ["colorgroup", "1", "--format", "json", "--format", "text"],
+    ["table", "--from", "1", "--from", "2", "--to", "3"],
+    ["wheel", "3", "--moduli", "2", "--moduli", "3"],
+    # --moduli with 0, 1 and 4 values, and followed by another option
+    ["wheel", "3", "--moduli"],
+    ["wheel", "3", "--moduli", "2"],
+    ["wheel", "3", "--moduli", "2", "3", "5", "7"],
+    ["wheel", "3", "--moduli", "--format", "json"],
+    ["wheel", "3", "--moduli", "2", "3", "--format", "json"],
+    ["wheel", "3", "--moduli=5"],
+    ["wheel", "3", "--moduli=5", "7"],
+    ["wheel", "3", "--moduli", "-2", "3"],
+    ["wheel", "--moduli", "2", "3", "5"],
+    # braids and integers that start with "-"
+    ["colorgroup", "-1"],
+    ["colorgroup", "-1 2"],
+    ["colorgroup", "-1,2"],
+    ["colorgroup", "-1.5"],
+    ["colorgroup", "-"],
+    ["colorgroup", "1", "--strands", "-3"],
+    ["colorgroup", "1", "--strands", "-1,2"],
+    ["colorgroup", "--format", "-1 2", "1"],
+    ["wheel", "-5"],
+    # "--"
+    ["colorgroup", "--", "-1,2"],
+    ["colorgroup", "--", "-1"],
+    ["colorgroup", "1", "--"],
+    ["colorgroup", "--"],
+    ["colorgroup", "--", "--"],
+    ["colorgroup", "--strands", "3", "--", "1"],
+    ["colorgroup", "--strands", "--", "1"],
+    ["colorgroup", "1", "--", "2"],
+    ["colorgroup", "1", "--format", "json", "--"],
+    ["colorgroup", "--", "1", "--format", "json"],
+    ["wheel", "--", "5"],
+    ["wheel", "--moduli", "2", "--", "5"],
+    ["wheel", "3", "--moduli", "2", "--"],
+    ["verify", "--"],
+    ["--", "colorgroup", "1"],
+    ["--"],
+    # missing and extra arguments, bad values and choices
+    ["colorgroup"],
+    ["wheel"],
+    ["table"],
+    ["table", "--to", "3"],
+    ["colorgroup", "1", "2"],
+    ["verify", "x"],
+    ["colorgroup", "1", "--strands"],
+    ["colorgroup", "1", "--strands", "--format", "json"],
+    ["colorgroup", "--bogus", "1"],
+    ["colorgroup", "-x", "1"],
+    ["colorgroup", "1", "--format", "xml"],
+    ["colorgroup", "1", "--format=a b"],
+    ["table", "--from", "1", "--to", "3", "--format", "xml"],
+    ["wheel", "x"],
+    ["wheel", "3", "--moduli=", "5"],
+    ["verify", "--max-n", "２"],
+    # help, and its misuse
+    ["-h"],
+    ["--help"],
+    ["--he"],
+    ["-h", "bogus"],
+    ["colorgroup", "-h"],
+    ["wheel", "-h", "x"],
+    ["wheel", "x", "-h"],
+    ["colorgroup", "--bogus", "-h"],
+    ["colorgroup", "1", "2", "--help"],
+    ["verify", "--h"],
+    ["table", "--hel"],
+    ["colorgroup", "1", "--he=x"],
+    ["colorgroup", "1", "-h=x"],
+    ["colorgroup", "-hx"],
+    # unknown subcommands and empty argv
+    [],
+    ["bogus"],
+    ["Colorgroup", "1"],
+    ["-1"],
+    ["--strands", "3"],
+]
+
+
+@pytest.mark.parametrize("argv", GRAMMAR_CORPUS, ids=range(len(GRAMMAR_CORPUS)))
+def test_grammar_agrees_with_argparse(argv, capsys):
+    # only the wording of a grammar error may differ.  Left out on purpose:
+    # an unknown option before the subcommand followed by -h, and "-hh",
+    # which argparse reads as help; both are usage errors here
+    assert parsed_by(cli._parse, argv) == parsed_by(build_parser().parse_args, argv)
+
+
+def test_main_reads_sys_argv(capsys, monkeypatch):
+    # the foxabf script calls main() with no argv
+    monkeypatch.setattr(sys, "argv", ["foxabf", "colorgroup", "1 -2 1 -2 1 -2"])
+    code, out = run(None, capsys)
+    assert code == 0
+    assert "Z_4 + Z_4" in out
+
+
+@pytest.mark.parametrize(
+    "argv", [["-h"], ["--help"], ["wheel", "-h"], ["table", "--from", "1", "--help"]]
+)
+def test_help_prints_usage_and_exits_0(argv, capsys):
+    with pytest.raises(SystemExit) as info:
+        cli.main(argv)
+    assert info.value.code == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    usage = captured.out.splitlines()[0]
+    if argv[0] in ("-h", "--help"):
+        assert usage == "usage: foxabf [-h] {colorgroup,abf,wheel,verify,table} ..."
+        for command in ("colorgroup", "abf", "wheel", "verify", "table"):
+            assert f"\n  {command} " in captured.out
+    else:
+        assert usage.startswith(f"usage: foxabf {argv[0]} [-h] ")
+
+
+def test_cli_request_imports_no_argument_parsing_machinery():
+    # argparse loads shutil (and with it zlib, bz2, lzma) and gettext (and
+    # locale) inside every request; typing came in through ring and sequences
+    src = Path(cli.__file__).resolve().parents[1]
+    code = (
+        "import contextlib, io, sys\n"
+        f"sys.path.insert(0, {str(src)!r})\n"
+        "import foxabf.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert foxabf.cli.main(['colorgroup', '1', '--format', 'json']) == 0\n"
+        "print(' '.join(sorted(sys.modules)))\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", code], capture_output=True, text=True, timeout=60
+    )
+    assert result.returncode == 0, result.stderr
+    loaded = set(result.stdout.split())
+    assert "foxabf.cli" in loaded
+    assert not loaded & {"argparse", "shutil", "locale", "gettext", "typing"}

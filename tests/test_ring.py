@@ -5,6 +5,8 @@ import random
 
 import pytest
 
+from foxabf import ring
+from foxabf.braid import BraidWord, reduced_relation_matrix
 from foxabf.ring import (
     AbelianGroup,
     InexactDivisionError,
@@ -329,6 +331,43 @@ def test_bareiss_matches_expansion_laurent():
     for _ in range(12):
         m = Matrix([[rand_poly(rng, span=1, coef=3) for _ in range(4)] for _ in range(4)])
         assert m.det() == _det_permanent_oracle(m)
+
+
+def _det_dividing_by_one(rows):
+    """Bareiss elimination that also divides its first step by the initial
+    previous pivot 1: the reference for the division Matrix.det skips."""
+    a = [list(row) for row in rows]
+    n = len(a)
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if not a[k][k]:
+            for r in range(k + 1, n):
+                if a[r][k]:
+                    a[k], a[r] = a[r], a[k]
+                    sign = -sign
+                    break
+            else:
+                return a[k][k] * 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = ring._entry_div_exact(a[i][j] * a[k][k] - a[i][k] * a[k][j], prev)
+        prev = a[k][k]
+    return sign * a[n - 1][n - 1]
+
+
+def test_bareiss_skips_the_division_by_the_initial_pivot(monkeypatch):
+    rng = random.Random(11)  # a 24-strand, 80-letter word with nonzero determinant
+    word = BraidWord(24, tuple(rng.choice((1, -1)) * rng.randint(1, 23) for _ in range(80)))
+    m = reduced_relation_matrix(word)
+    original = ring.divide_exact
+    divisors = []
+    monkeypatch.setattr(ring, "divide_exact", lambda a, b: divisors.append(b) or original(a, b))
+    det = m.det()
+    skipping = len(divisors)
+    divisors.clear()
+    assert _det_dividing_by_one(m.entries()) == det != 0
+    assert len(divisors) - skipping == (m.rows - 1) ** 2 == 484
 
 
 # -- Smith normal form -------------------------------------------------------
