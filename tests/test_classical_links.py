@@ -1,5 +1,6 @@
 """Fixed points from classical knot theory, independent of the wheel
 family: (2, n) torus closures, an SNF oracle via determinantal divisors,
+the determinant, Torres and symmetry facts about Delta on seeded words,
 and an Alexander polynomial oracle from the reduced Burau
 representation."""
 
@@ -7,11 +8,12 @@ import math
 import random
 from itertools import combinations
 
+import pytest
 import sympy
 from sympy.polys.matrices import DomainMatrix
 
 from foxabf.alexander import alexander_polynomial, wheel_module
-from foxabf.braid import BraidWord, random_word, reduced_relation_matrix
+from foxabf.braid import BraidWord, closure_components, random_word, reduced_relation_matrix
 from foxabf.coloring import coloring_group
 from foxabf.ring import AbelianGroup, LaurentPoly, Matrix, normalize_unit, snf
 
@@ -138,6 +140,50 @@ def test_markov_stabilization():
     for rng, word in markov_words(6062):
         last = rng.choice((1, -1)) * word.strands
         assert_same_invariants(word, BraidWord(word.strands + 1, (*word.letters, last)))
+
+
+# -- classical facts about Delta on seeded random words ---------------------------
+#
+# Torres, "On the Alexander polynomial", Ann. of Math. 57 (1953); Lickorish,
+# An Introduction to Knot Theory (GTM 175), ch. 6.  The code that computes
+# Delta uses none of these facts.
+
+
+@pytest.fixture(scope="module")
+def classical_words():
+    """600 seeded words on up to 7 strands with up to 24 letters, each
+    with its Alexander polynomial."""
+    rng = random.Random(4242)
+    words = [random_word(rng, max_strands=7, max_len=24) for _ in range(600)]
+    return [(word, alexander_polynomial(word)) for word in words]
+
+
+def test_alexander_at_minus_one_is_the_coloring_group_order(classical_words):
+    # the link determinant: Bareiss over Z[t^(+/-1)] against SNF over Z
+    for word, poly in classical_words:
+        assert abs(poly.at_minus_one()) == coloring_group(word).group.order(), word
+
+
+def test_torres_alexander_at_one(classical_words):
+    knots = 0
+    for word, poly in classical_words:
+        at_one = sum(c for _, c in poly.terms())
+        if closure_components(word) == 1:
+            knots += 1
+            assert abs(at_one) == 1, word
+        else:
+            assert at_one == 0, word
+    assert 0 < knots < 600
+
+
+def test_alexander_is_symmetric(classical_words):
+    nonzero = 0
+    for word, poly in classical_words:
+        if not poly.is_zero:
+            nonzero += 1
+            mirrored = LaurentPoly({-e: c for e, c in poly.terms()})
+            assert normalize_unit(mirrored) == poly, word
+    assert nonzero > 0
 
 
 # -- independent Alexander oracle: the reduced Burau representation --------------

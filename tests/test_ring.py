@@ -291,6 +291,15 @@ def test_det_examples():
     assert Matrix.identity(4).det() == 1
     assert Matrix([[2, 0], [0, 3]]).det() == 6
     assert burau_sigma1_2strand().det() == -T
+    # column 1 is zero from row 1 down while column 2 is not: the pivot
+    # search finds an entry outside column 1 and the determinant is the
+    # ring's zero
+    rows = [[1, 2, 3], [0, 0, 5], [0, 0, 7]]
+    det = Matrix(rows).det()
+    assert det == 0 and type(det) is int
+    rows[0][0] = ONE
+    det = Matrix(rows).det()
+    assert isinstance(det, LaurentPoly) and det.is_zero
 
 
 def test_det_non_square():
@@ -605,3 +614,21 @@ def test_snf_matches_sympy(sp):
                 row[j] = 0
         expected = [abs(int(d)) for d in invariant_factors(sp.Matrix(rows)) if d]
         assert smith_invariant_factors(Matrix(rows)) == expected
+
+
+def test_snf_matches_sympy_on_braid_matrices(sp):
+    # the matrices colorgroup reduces: reduced t = -1 presentations of 30
+    # mixed words and 10 of 24 strands and 80 letters, singular ones kept
+    from sympy.matrices.normalforms import invariant_factors
+
+    rng = random.Random(2030)
+    shapes = [(rng.randint(6, 14), rng.randint(10, 80)) for _ in range(30)] + [(24, 80)] * 10
+    singular = 0
+    for strands, length in shapes:
+        letters = tuple(rng.choice((1, -1)) * rng.randint(1, strands - 1) for _ in range(length))
+        m = reduced_relation_matrix(BraidWord(strands, letters), at_minus_one=True)
+        expected = [abs(int(d)) for d in invariant_factors(sp.Matrix(m.entries())) if d]
+        factors = smith_invariant_factors(m)
+        assert factors == expected, (strands, letters)
+        singular += len(factors) < m.rows
+    assert singular > 0
