@@ -21,32 +21,26 @@ presentation:
   from P_0 = Q_0 = 0 (the identity braid);
 
 * closed route: with g_{2k} = S_{k-1} and g_{2k+1} = S_{k-1} + S_k
-  (Chebyshev S at z = 1 - t - t^{-1}), the matrix is
+  (Chebyshev S at z = 1 - t - t^{-1}), both wheel matrices are instances
+  of the one formula
 
-      [ -g_n*(g_{n+1} + t^{-1}*g_{n-1})     t^{-1}*g_n*g_{n-1}        ]
-      [  t*g_n*g_{n+1}                     -g_n*(g_{n+1} + t*g_{n-1}) ]
+      W(p, q) = [ -p - t^{-1}*q    t^{-1}*q     ]
+                [  t*p            -p - t*q      ]
 
-  The plus signs inside the diagonal are forced: with them the two routes
-  agree entrywise, det(A_n/(-g_n)) is exactly 1 for odd n and
-  3 - t - t^{-1} for even n, and det A_n equals the determinant of the
-  Burau-route reduced matrix (middle strand dropped).
+  A_n = W(g_n*g_{n+1}, g_n*g_{n-1}) and -A'_n = W(g_{n+1}, g_{n-1}), so
+  A_n = -g_n*A'_n.  The plus signs inside the diagonal are forced: with
+  them the two routes agree entrywise, det A'_n is exactly 1 for odd n
+  and 3 - t - t^{-1} for even n, and det A_n equals the determinant of
+  the Burau-route reduced matrix (middle strand dropped).
 
-The closed route builds A_n from the two products p = g_n*g_{n+1} and
-q = g_n*g_{n-1} as [[-p - t^{-1}*q, t^{-1}*q], [t*p, -p - t*q]].
-wheel_euclidean_reduction builds A'_n = A_n / (-g_n) from g_{n-1} and
-g_{n+1},
-
-      [ g_{n+1} + t^{-1}*g_{n-1}    -t^{-1}*g_{n-1}          ]
-      [ -t*g_{n+1}                  g_{n+1} + t*g_{n-1}      ]
-
-replays the column operations that bring the first row to
-(g_{n+1}, g_{n-1}), and runs the Euclidean descent: n//2 - 1 steps of the
-Chebyshev recurrence col1, col2 <- col2, z*col2 - col1, then one cleanup
-(col1 -= u*col2, swap) that takes the first row from (u, 1) to (1, 0).
-The result is the cyclic decomposition with ideal generators
-(g_n, det(A'_n) * g_n), whose normalized product is the Alexander
-polynomial: det A_n = g_n^2 * det(A'_n) in any commutative ring, so
-wheel_module takes no determinant of A_n.
+wheel_euclidean_reduction builds -A'_n, replays the column operations
+that bring the first row to (g_{n+1}, g_{n-1}), and runs the Euclidean
+descent: n//2 - 1 steps of the Chebyshev recurrence
+col1, col2 <- col2, z*col2 - col1, then one cleanup (col1 -= u*col2,
+swap) that takes the first row from (u, 1) to (1, 0).  The result is the
+cyclic decomposition with ideal generators (g_n, det(A'_n) * g_n), whose
+normalized product is the Alexander polynomial: det A_n = g_n^2 * det(A'_n)
+in any commutative ring, so wheel_module takes no determinant of A_n.
 """
 
 from __future__ import annotations
@@ -92,9 +86,8 @@ def general_presentation(word: BraidWord) -> ModulePresentation:
     (no cyclic decomposition)."""
     matrix = reduced_relation_matrix(word)
     det = matrix.det()
-    det = LaurentPoly.const(det) if isinstance(det, int) else det
-    alexander = LaurentPoly.zero() if det.is_zero else normalize_unit(det)
-    return ModulePresentation(matrix=matrix, alexander=alexander, ideal_gens=None)
+    alexander = normalize_unit(det) if det else LaurentPoly.zero()
+    return ModulePresentation(matrix=matrix, alexander=alexander)
 
 
 def wheel_g(n: int) -> LaurentPoly:
@@ -126,29 +119,19 @@ def wheel_abf_matrix_recursive(n: int) -> Matrix:
     return Matrix([[pa, pc], [qa, qc]])
 
 
-def _wheel_a_prime(n: int) -> tuple[LaurentPoly, Matrix]:
-    """g_n and A'_n = A_n / (-g_n), built from g_{n-1} and g_{n+1}."""
-    if n < 1:
-        raise ValueError("the wheel family starts at n = 1")
-    g_prev = wheel_g(n - 1)
-    g_next = wheel_g(n + 1)
-    aprime = Matrix(
-        [
-            [g_next + _T_INV * g_prev, -(_T_INV * g_prev)],
-            [-(_T * g_next), g_next + _T * g_prev],
-        ]
-    )
-    return wheel_g(n), aprime
+def _wheel_matrix(p: LaurentPoly, q: LaurentPoly) -> Matrix:
+    """W(p, q) = [[-p - t^{-1}*q, t^{-1}*q], [t*p, -p - t*q]], the one
+    formula behind A_n and -A'_n."""
+    return Matrix([[-p - q.shift(-1), q.shift(-1)], [p.shift(1), -p - q.shift(1)]])
 
 
 def wheel_abf_matrix_closed(n: int) -> Matrix:
-    """Wheel presentation from the Chebyshev closed form, built from the
-    two products p = g_n*g_{n+1} and q = g_n*g_{n-1}."""
+    """Wheel presentation from the Chebyshev closed form,
+    A_n = W(g_n*g_{n+1}, g_n*g_{n-1})."""
     if n < 1:
         raise ValueError("the wheel family starts at n = 1")
     g = wheel_g(n)
-    p, q = g * wheel_g(n + 1), g * wheel_g(n - 1)
-    return Matrix([[-p - q.shift(-1), q.shift(-1)], [p.shift(1), -p - q.shift(1)]])
+    return _wheel_matrix(g * wheel_g(n + 1), g * wheel_g(n - 1))
 
 
 def wheel_euclidean_reduction(
@@ -158,16 +141,19 @@ def wheel_euclidean_reduction(
 
     Returns ((g, h), det_a_prime) where g = g_n and h = det(A'_n) * g_n,
     both unit-normalized, and det_a_prime is the exact determinant of
-    A'_n = A_n / (-g_n): 1 for odd n, 3 - t - t^{-1} for even n.  A'_n is
-    built from g_{n-1} and g_{n+1}.
+    A'_n = A_n / (-g_n): 1 for odd n, 3 - t - t^{-1} for even n.  It is
+    the determinant of -A'_n = W(g_{n+1}, g_{n-1}), the same for a 2x2.
     """
-    g, aprime = _wheel_a_prime(n)
-    det_a_prime = aprime.det()
+    if n < 1:
+        raise ValueError("the wheel family starts at n = 1")
+    neg_aprime = _wheel_matrix(wheel_g(n + 1), wheel_g(n - 1))
+    det_a_prime = neg_aprime.det()
 
-    # column replay, col = [top, bottom]: col1 += col2 takes the first row
-    # to (g_{n+1}, -t^-1 g_{n-1}), col2 *= -t then to (g_{n+1}, g_{n-1})
-    (p, q), (r, s) = aprime.entries()
-    col1, col2 = [p + q, r + s], [-(_T * q), -(_T * s)]
+    # column replay on -A'_n, col = [top, bottom]: col1 <- -(col1 + col2)
+    # takes the first row to (g_{n+1}, t^-1 g_{n-1}), col2 *= t then to
+    # (g_{n+1}, g_{n-1})
+    (p, q), (r, s) = neg_aprime.entries()
+    col1, col2 = [-(p + q), -(r + s)], [q.shift(1), s.shift(1)]
 
     # a step col1, col2 <- col2, z*col2 - col1 takes a first row
     # (S_j, S_{j-1}) to (S_{j-1}, S_{j-2}), and a sum of two such rows
@@ -190,6 +176,7 @@ def wheel_euclidean_reduction(
         raise InternalConsistencyError(
             f"Euclidean reduction of the wheel matrix lost the determinant at n = {n}"
         )
+    g = wheel_g(n)
     gens = (normalize_unit(g), normalize_unit(det_a_prime * g))
     return gens, det_a_prime
 

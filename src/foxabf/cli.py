@@ -15,7 +15,7 @@ import sys
 from types import SimpleNamespace
 
 from .alexander import general_presentation, wheel_module
-from .braid import _LETTER, BraidParseError, BraidWord, _echo, burau_property_check, parse_braid
+from .braid import _LETTER, BraidParseError, _echo, burau_property_check, parse_braid
 from .coloring import EnumerationLimitError, coloring_group
 from .ring import AbelianGroup, Matrix
 from .sequences import identity_suite, recurrence_solver_check
@@ -77,15 +77,8 @@ def _ascii_int(text: str) -> int:
     raise _UsageError(f"invalid integer {_echo(text)}")
 
 
-def _parse_braid_arg(text: str, strands: int | None) -> BraidWord:
-    try:
-        return parse_braid(text, strands=strands)
-    except BraidParseError as exc:
-        raise _UsageError(str(exc)) from None
-
-
 def _cmd_colorgroup(args) -> int:
-    word = _parse_braid_arg(args.braid, args.strands)
+    word = parse_braid(args.braid, strands=args.strands)
     result = coloring_group(word)
     document = {
         "command": "colorgroup",
@@ -106,7 +99,7 @@ def _cmd_colorgroup(args) -> int:
 
 
 def _cmd_abf(args) -> int:
-    word = _parse_braid_arg(args.braid, args.strands)
+    word = parse_braid(args.braid, strands=args.strands)
     presentation = general_presentation(word)
     document = {
         "command": "abf",
@@ -137,10 +130,7 @@ def _cmd_wheel(args) -> int:
     moduli = tuple(args.moduli or ())
     if any(m < 2 for m in moduli):
         raise _UsageError("every modulus must be at least 2")
-    try:
-        report = cross_verify(args.n, brute_force_moduli=moduli)
-    except EnumerationLimitError as exc:
-        raise _UsageError(str(exc)) from None
+    report = cross_verify(args.n, brute_force_moduli=moduli)
     module = report.module
     gens = module.ideal_gens
     document = {
@@ -461,7 +451,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = _parse(argv)
         return _GRAMMAR[command][0](args)
-    except _UsageError as exc:
+    except (_UsageError, BraidParseError, EnumerationLimitError) as exc:
         prog = "foxabf" if command is None else f"foxabf {command}"
         sys.stderr.write(f"{_usage(command)}\n{prog}: error: {exc}\n")
         raise SystemExit(2) from None

@@ -22,12 +22,7 @@ from .alexander import (
     wheel_reduced_burau_matrix,
 )
 from .braid import wheel_braid
-from .coloring import (
-    ColoringResult,
-    brute_force_coloring_count,
-    coloring_count_from_group,
-    coloring_group,
-)
+from .coloring import brute_force_coloring_count, coloring_count_from_group, coloring_group
 from .ring import AbelianGroup, Matrix, normalize_unit, snf
 from .sequences import IdentityCheck, _run_cases, cheb_S_at, fib, lucas
 
@@ -131,8 +126,7 @@ def cross_verify(n: int, brute_force_moduli: tuple[int, ...] = ()) -> WheelRepor
         raise ValueError("the wheel family starts at n = 1")
     word = wheel_braid(n)
     closed = fox_closed_form(n)
-    result: ColoringResult = coloring_group(word)
-    burau_group = result.group
+    burau_group = coloring_group(word).group
     drop_middle_group = coloring_group(word, drop_index=2).group
 
     module = wheel_module(n)

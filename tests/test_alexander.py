@@ -164,6 +164,25 @@ def test_g_divides_every_entry():
                 divide_exact(entry, g)
 
 
+def test_closed_matrix_is_minus_g_times_a_prime():
+    # A'_n written out with products by t^{+/-1}, apart from the shared
+    # builder: A_n = -g_n*A'_n entrywise on both routes, and the -A'_n the
+    # Euclidean reduction starts from is its negation
+    for n in range(1, 41):
+        g, g_prev, g_next = wheel_g(n), wheel_g(n - 1), wheel_g(n + 1)
+        a_prime = [
+            [g_next + TI * g_prev, -(TI * g_prev)],
+            [-(T * g_next), g_next + T * g_prev],
+        ]
+        closed = wheel_abf_matrix_closed(n).entries()
+        recursive = wheel_abf_matrix_recursive(n).entries()
+        neg_a_prime = alexander._wheel_matrix(g_next, g_prev).entries()
+        for i in range(2):
+            for j in range(2):
+                assert closed[i][j] == recursive[i][j] == -g * a_prime[i][j], (n, i, j)
+                assert neg_a_prime[i][j] == -a_prime[i][j], (n, i, j)
+
+
 # -- Euclidean reduction and the module --------------------------------------------
 
 

@@ -10,6 +10,8 @@ from itertools import combinations
 
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from sympy.polys.matrices import DomainMatrix
 
 from foxabf.alexander import alexander_polynomial, wheel_module
@@ -140,6 +142,36 @@ def test_markov_stabilization():
     for rng, word in markov_words(6062):
         last = rng.choice((1, -1)) * word.strands
         assert_same_invariants(word, BraidWord(word.strands + 1, (*word.letters, last)))
+
+
+# derandomized and without an example database: the same examples on
+# every run, none of them saved between runs
+MARKOV_SETTINGS = settings(derandomize=True, database=None, deadline=None)
+
+
+@st.composite
+def markov_cases(draw):
+    """A word on 2..6 strands with up to 20 letters, and a conjugator on the
+    same strands with up to 8."""
+    strands = draw(st.integers(2, 6))
+    letter = st.sampled_from([i for i in range(1 - strands, strands) if i])
+    word = BraidWord(strands, tuple(draw(st.lists(letter, max_size=20))))
+    return word, tuple(draw(st.lists(letter, max_size=8)))
+
+
+@MARKOV_SETTINGS
+@given(markov_cases())
+def test_markov_conjugation_by_a_word(case):
+    word, c = case
+    inverse = tuple(-x for x in reversed(c))
+    assert_same_invariants(word, BraidWord(word.strands, (*c, *word.letters, *inverse)))
+
+
+@MARKOV_SETTINGS
+@given(markov_cases(), st.sampled_from((1, -1)))
+def test_markov_stabilization_property(case, sign):
+    word, _ = case
+    assert_same_invariants(word, BraidWord(word.strands + 1, (*word.letters, sign * word.strands)))
 
 
 # -- classical facts about Delta on seeded random words ---------------------------

@@ -2,6 +2,7 @@
 
 import argparse
 import json
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -206,13 +207,13 @@ def test_wheel_computes_the_module_once(capsys, monkeypatch):
     assert (len(builds), len(modules)) == (1, 1)
 
 
-def test_wheel_builds_a_prime_once(capsys, monkeypatch):
-    # the closed A_n comes from two products, not from A'_n; only the
-    # Euclidean reduction builds A'_n
-    builds = count_calls(monkeypatch, alexander, "_wheel_a_prime")
+def test_wheel_builds_each_wheel_matrix_once(capsys, monkeypatch):
+    # one formula builds both matrices: A_n for the report and -A'_n for
+    # the Euclidean reduction, once each
+    builds = count_calls(monkeypatch, alexander, "_wheel_matrix")
     code, _ = run(["wheel", "7"], capsys)
     assert code == 0
-    assert len(builds) == 1
+    assert len(builds) == 2
 
 
 def test_wheel_takes_one_determinant_and_no_division(capsys, monkeypatch):
@@ -510,6 +511,18 @@ def test_grammar_agrees_with_argparse(argv, capsys):
     # an unknown option before the subcommand followed by -h, and "-hh",
     # which argparse reads as help; both are usage errors here
     assert parsed_by(cli._parse, argv) == parsed_by(build_parser().parse_args, argv)
+
+
+def test_grammar_agrees_with_argparse_on_random_argvs(capsys):
+    # a subcommand and 0-6 tokens drawn from the corpus's tokens: prefixes,
+    # "=" forms, "--", -h variants, negative numbers, tokens with spaces
+    alphabet = sorted({token for argv in GRAMMAR_CORPUS for token in argv})
+    parse_args = build_parser().parse_args
+    rng = random.Random(20261019)
+    for _ in range(2000):
+        argv = [rng.choice(tuple(cli._GRAMMAR))]
+        argv += [rng.choice(alphabet) for _ in range(rng.randint(0, 6))]
+        assert parsed_by(cli._parse, argv) == parsed_by(parse_args, argv), argv
 
 
 def test_main_reads_sys_argv(capsys, monkeypatch):

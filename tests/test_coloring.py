@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import signal
 import time
 
 import pytest
@@ -202,6 +203,42 @@ def test_snf_of_a_long_word_is_fast():
     assert group == AbelianGroup(torsion=(2,) * 5 + (6, 225531367093067280))
     det = reduced_relation_matrix(words[3], at_minus_one=True).det()
     assert group.order() == abs(det) == 43302022481868917760
+
+
+class _OverBudget(Exception):
+    """coloring_group ran past the test's wall-clock budget."""
+
+
+def _nth_word(seed, strands, index, length=300):
+    """The index-th (1-based) word drawn from random.Random(seed)."""
+    rng = random.Random(seed)
+    for _ in range(index):
+        letters = tuple(rng.choice((1, -1)) * rng.randint(1, strands - 1) for _ in range(length))
+    return BraidWord(strands, letters)
+
+
+def _raise_over_budget(signum, frame):
+    raise _OverBudget
+
+
+# Under the first-nonzero pivot the trailing SNF entries of these words
+# double in size step by step (to 16 million bits); each took 48 s to over
+# 60 s on a 2-core machine.  A bound on entry size turns the timeout into an
+# XPASS, which strict reports as a failure until the marker goes; a wrong
+# group fails either way
+@pytest.mark.xfail(raises=_OverBudget, strict=True, reason="SNF entry size is unbounded")
+@pytest.mark.parametrize("seed, strands, index", [(200, 24, 53), (300, 40, 7), (300, 40, 55)])
+def test_snf_blow_up_word_within_one_second(seed, strands, index):
+    word = _nth_word(seed, strands, index)
+    previous = signal.signal(signal.SIGALRM, _raise_over_budget)
+    signal.setitimer(signal.ITIMER_REAL, 1.0)
+    try:
+        group = coloring_group(word).group
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    det = reduced_relation_matrix(word, at_minus_one=True).det()
+    assert group.order() == abs(det)
 
 
 def test_brute_force_modulus_validation():
