@@ -45,7 +45,7 @@ in any commutative ring, so wheel_module takes no determinant of A_n.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .braid import BraidWord, reduced_relation_matrix, wheel_braid
 from .ring import LaurentPoly, Matrix, normalize_unit
@@ -62,17 +62,13 @@ class InternalConsistencyError(RuntimeError):
     signals a bug, not bad input."""
 
 
-@dataclass(frozen=True)
-class ModulePresentation:
-    """Relation matrix (rows are relations), normalized Alexander
-    polynomial, and - for the wheel family only - the ordered pair of
-    cyclic ideal generators (g, h) with g | h and the determinant of
-    A'_n = A_n / (-g_n)."""
-
-    matrix: Matrix
-    alexander: LaurentPoly
-    ideal_gens: tuple[LaurentPoly, LaurentPoly] | None = None
-    det_a_prime: LaurentPoly | None = None
+ModulePresentation = namedtuple(
+    "ModulePresentation", "matrix alexander ideal_gens det_a_prime", defaults=(None, None)
+)
+ModulePresentation.__doc__ = """Relation matrix (rows are relations), normalized
+Alexander polynomial, and - for the wheel family only - the ordered pair of
+cyclic ideal generators (g, h) with g | h and the determinant of
+A'_n = A_n / (-g_n)."""
 
 
 def alexander_polynomial(word: BraidWord) -> LaurentPoly:

@@ -23,12 +23,9 @@ from __future__ import annotations
 
 import json
 import math
-import random
 import re
-from dataclasses import dataclass
 
 from .ring import LaurentPoly, Matrix
-from .sequences import IdentityCheck, _run_cases
 
 # Largest strand count parse_braid accepts: Burau matrices are s x s, and
 # the reduced presentations are reduced by determinant and Smith normal
@@ -39,10 +36,6 @@ _LETTER = re.compile(r"[+-]?[0-9]+")
 
 # Characters an error message echoes of an argument before clipping it.
 _ECHO_LIMIT = 20
-
-# Case count and seed of the randomized part of burau_property_check.
-_BURAU_CHECK_CASES = 120
-_BURAU_CHECK_SEED = 9151
 
 
 def _echo(value: object) -> str:
@@ -71,23 +64,42 @@ class BraidParseError(ValueError):
         self.position = position
 
 
-@dataclass(frozen=True)
 class BraidWord:
-    strands: int
-    letters: tuple[int, ...] = ()
+    """An immutable word; len() is its letter count, and it is not iterable."""
 
-    def __post_init__(self):
-        if type(self.strands) is not int or self.strands < 1:
+    __slots__ = ("strands", "letters")
+
+    def __init__(self, strands: int, letters: tuple[int, ...] = ()):
+        if type(strands) is not int or strands < 1:
             raise ValueError("strand count must be a positive integer")
-        object.__setattr__(self, "letters", tuple(self.letters))
-        for letter in self.letters:
+        letters = tuple(letters)
+        for letter in letters:
             if type(letter) is not int or letter == 0:
                 raise ValueError(f"invalid letter {letter!r}: letters are nonzero ints")
-            if abs(letter) >= self.strands:
+            if abs(letter) >= strands:
                 raise ValueError(
                     f"letter {letter} needs at least {abs(letter) + 1} strands, "
-                    f"word has {self.strands}"
+                    f"word has {strands}"
                 )
+        object.__setattr__(self, "strands", strands)
+        object.__setattr__(self, "letters", letters)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.strands, self.letters) == (other.strands, other.letters)
+
+    def __hash__(self):
+        return hash((self.strands, self.letters))
+
+    def __repr__(self):
+        return f"BraidWord(strands={self.strands!r}, letters={self.letters!r})"
 
     def __len__(self):
         return len(self.letters)
@@ -239,63 +251,6 @@ def burau(word: BraidWord) -> Matrix:
 def burau_at_minus_one(word: BraidWord) -> Matrix:
     """burau(word) specialized at t = -1, computed over plain integers."""
     return _burau_product(word, _AT_MINUS_ONE)
-
-
-def random_word(rng: random.Random, max_strands: int = 6, max_len: int = 20) -> BraidWord:
-    """A word of up to ``max_len`` uniform letters on 2..max_strands strands."""
-    strands = rng.randint(2, max_strands)
-    length = rng.randint(0, max_len)
-    letters = tuple(
-        rng.choice((1, -1)) * rng.randint(1, strands - 1) for _ in range(length)
-    )
-    return BraidWord(strands, letters)
-
-
-def burau_property_check() -> IdentityCheck:
-    """Randomized Burau sanity: homomorphism, braid relations, inverse
-    cancellation, det = (-t)^writhe, row sums, weighted left null vector."""
-    rng = random.Random(_BURAU_CHECK_SEED)
-    results = []
-    for trial in range(_BURAU_CHECK_CASES):
-        # every trial draws its word, so each trial tests the same words
-        word = random_word(rng)
-        s = word.strands
-        kind = trial % 4
-        m = burau(word) if kind < 3 else None  # the det trial reads only ``small``
-        if kind == 0:
-            other = random_word(rng, max_strands=s, max_len=10)
-            other = BraidWord(s, other.letters)
-            ok = burau(word * other) == m * burau(other)
-        elif kind == 1:
-            ok = m * burau(word.inverse()) == Matrix.identity(s, one=LaurentPoly.one())
-        elif kind == 2:
-            # (t^{s-1}, ..., t, 1) * m is that same row, and every row sums to 1
-            ok = all(
-                sum((m[i, j].shift(s - 1 - i) for i in range(s)), LaurentPoly.zero())
-                == LaurentPoly.t(s - 1 - j)
-                for j in range(s)
-            ) and all(
-                sum((m[i, j] for j in range(s)), LaurentPoly.zero()) == 1
-                for i in range(s)
-            )
-        else:
-            small = random_word(rng, max_strands=4, max_len=12)
-            sign = exponent_sum(small)
-            expected = (-LaurentPoly.t() if sign >= 0 else -LaurentPoly.t(-1)) ** abs(sign)
-            ok = burau(small).det() == expected
-        results.append((f"trial={trial}", ok))
-    # braid relations on every adjacent pair up to 6 strands
-    for s in range(3, 7):
-        for i in range(1, s - 1):
-            lhs = burau(BraidWord(s, (i, i + 1, i)))
-            rhs = burau(BraidWord(s, (i + 1, i, i + 1)))
-            results.append((f"braid relation s={s}, i={i}", lhs == rhs))
-        for i in range(1, s - 1):
-            for j in range(i + 2, s):
-                lhs = burau(BraidWord(s, (i, j)))
-                rhs = burau(BraidWord(s, (j, i)))
-                results.append((f"far commutation s={s}, i={i}, j={j}", lhs == rhs))
-    return _run_cases("burau_properties", results)
 
 
 def reduced_relation_matrix(

@@ -15,16 +15,11 @@ import sys
 from types import SimpleNamespace
 
 from .alexander import general_presentation, wheel_module
-from .braid import _LETTER, BraidParseError, _echo, burau_property_check, parse_braid
+from .braid import _LETTER, BraidParseError, _echo, parse_braid
 from .coloring import EnumerationLimitError, coloring_group
 from .ring import AbelianGroup, Matrix
-from .sequences import identity_suite, recurrence_solver_check
-from .wheel import (
-    cross_verify,
-    fox_closed_form,
-    wheel_cross_verify_check,
-    wheel_matrix_routes_check,
-)
+from .sequences import identity_suite
+from .wheel import cross_verify, fox_closed_form
 
 # Largest indices the CLI accepts.  Exact wheel arithmetic at index n
 # costs about n^3, a table the sum of n^3 over its rows and verify about
@@ -183,11 +178,13 @@ def _cmd_verify(args) -> int:
         raise _UsageError(
             f"--max-n is limited to {MAX_VERIFY_N}, --max-index to {MAX_IDENTITY_INDEX}"
         )
+    from . import verify  # only verify loads the suites and ``random``
+
     checks = identity_suite(args.max_index) + (
-        recurrence_solver_check(min(40, args.max_index)),
-        burau_property_check(),
-        wheel_matrix_routes_check(args.max_n),
-        wheel_cross_verify_check(args.max_n),
+        verify.recurrence_solver_check(min(40, args.max_index)),
+        verify.burau_property_check(),
+        verify.wheel_matrix_routes_check(args.max_n),
+        verify.wheel_cross_verify_check(args.max_n),
     )
 
     document = {

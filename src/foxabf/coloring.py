@@ -23,10 +23,10 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .braid import BraidWord, _echo, reduced_relation_matrix
-from .ring import AbelianGroup, Matrix, snf
+from .ring import AbelianGroup, snf
 
 # Most assignments brute_force_coloring_count enumerates: modulus**strands.
 ENUMERATION_CAP = 10**7
@@ -36,11 +36,7 @@ class EnumerationLimitError(ValueError):
     """Brute-force enumeration would exceed ENUMERATION_CAP."""
 
 
-@dataclass(frozen=True)
-class ColoringResult:
-    group: AbelianGroup
-    determinant: int
-    reduced_matrix: Matrix
+ColoringResult = namedtuple("ColoringResult", "group determinant reduced_matrix")
 
 
 def coloring_group(word: BraidWord, drop_index: int | None = None) -> ColoringResult:

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from collections import namedtuple
 from collections.abc import Iterable, Mapping, Sequence
 
 
@@ -461,22 +461,22 @@ def _det_bareiss(a):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AbelianGroup:
+class AbelianGroup(namedtuple("AbelianGroup", "torsion free_rank")):
     """Invariant-factor form: torsion chain d1 | d2 | ... (each >= 2) plus
     free rank.  Smallest factor first; Z_1 summands are never stored."""
 
-    torsion: tuple[int, ...] = ()
-    free_rank: int = 0
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.free_rank < 0:
+    def __new__(cls, torsion: Iterable[int] = (), free_rank: int = 0):
+        self = super().__new__(cls, tuple(torsion), free_rank)
+        if free_rank < 0:
             raise ValueError("free rank must be non-negative")
         if any(d < 2 for d in self.torsion):
             raise ValueError("invariant factors must be at least 2")
         for a, b in zip(self.torsion, self.torsion[1:]):
             if b % a:
                 raise ValueError(f"broken divisibility chain: {a} does not divide {b}")
+        return self
 
     @property
     def is_trivial(self) -> bool:

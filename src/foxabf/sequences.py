@@ -17,18 +17,13 @@ demand; the recurrence solver builds one per call.
 
 from __future__ import annotations
 
-import random
-from dataclasses import dataclass
+from collections import namedtuple
 from collections.abc import Sequence
 
 from .ring import LaurentPoly
 
 Z_VAR = LaurentPoly.t()  # the Chebyshev variable; print with to_str("z")
 Z_OF_T = LaurentPoly({0: 1, 1: -1, -1: -1})  # 1 - t - t^-1
-
-# Trial count and seed of recurrence_solver_check.
-_SOLVER_CHECK_TRIALS = 30
-_SOLVER_CHECK_SEED = 20230301
 
 _fib_cache: tuple[int, ...] = (0, 1)
 
@@ -156,11 +151,8 @@ def iterate_chebyshev_recurrence(p0, p1, cs: Sequence, z, n: int):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class IdentityCheck:
-    name: str
-    cases: int
-    counterexample: str | None = None
+class IdentityCheck(namedtuple("IdentityCheck", "name cases counterexample", defaults=(None,))):
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:
@@ -301,29 +293,3 @@ def identity_suite(max_index: int) -> tuple[IdentityCheck, ...]:
         ),
     ]
     return tuple(checks)
-
-
-def recurrence_solver_check(max_n: int) -> IdentityCheck:
-    """Randomized check that the closed-form solver equals direct iteration
-    over both rings (ints and Laurent polynomials)."""
-    rng = random.Random(_SOLVER_CHECK_SEED)
-
-    def rand_poly() -> LaurentPoly:
-        return LaurentPoly(
-            {e: rng.randint(-4, 4) for e in range(rng.randint(-2, 0), rng.randint(1, 3))}
-        )
-
-    cases = []
-    for trial in range(_SOLVER_CHECK_TRIALS):
-        n = rng.randint(0, max_n)
-        if trial % 2 == 0:
-            p0, p1 = rng.randint(-9, 9), rng.randint(-9, 9)
-            z = rng.randint(-5, 5)
-            cs = [rng.randint(-9, 9) for _ in range(max(0, n - 1))]
-        else:
-            p0, p1, z = rand_poly(), rand_poly(), rand_poly()
-            cs = [rand_poly() for _ in range(max(0, n - 1))]
-        closed = solve_chebyshev_recurrence(p0, p1, cs, z, n)
-        iterated = iterate_chebyshev_recurrence(p0, p1, cs, z, n)
-        cases.append((f"trial={trial}, n={n}", closed == iterated))
-    return _run_cases("chebyshev_solver_vs_iteration", cases)

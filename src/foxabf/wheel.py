@@ -12,42 +12,28 @@ independently derived Goeritz presentation built from S_k(3).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
-from .alexander import (
-    ModulePresentation,
-    wheel_abf_matrix_closed,
-    wheel_abf_matrix_recursive,
-    wheel_module,
-    wheel_reduced_burau_matrix,
-)
+from .alexander import wheel_module
 from .braid import wheel_braid
 from .coloring import brute_force_coloring_count, coloring_count_from_group, coloring_group
-from .ring import AbelianGroup, Matrix, normalize_unit, snf
-from .sequences import IdentityCheck, _run_cases, cheb_S_at, fib, lucas
+from .ring import AbelianGroup, Matrix, snf
+from .sequences import cheb_S_at, fib, lucas
 
 
-@dataclass(frozen=True)
-class BruteForceCheck:
-    modulus: int
-    count: int
-    predicted: int
+class BruteForceCheck(namedtuple("BruteForceCheck", "modulus count predicted")):
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:
         return self.count == self.predicted
 
 
-@dataclass(frozen=True)
-class WheelReport:
-    n: int
-    closed_form_group: AbelianGroup
-    burau_group: AbelianGroup
-    module: ModulePresentation
-    abf_gens_at_minus_one: tuple[int, ...]
-    brute_force_checks: tuple[BruteForceCheck, ...]
-    goeritz_ok: bool
-    all_consistent: bool
+WheelReport = namedtuple(
+    "WheelReport",
+    "n closed_form_group burau_group module abf_gens_at_minus_one"
+    " brute_force_checks goeritz_ok all_consistent",
+)
 
 
 def fox_closed_form(n: int) -> AbelianGroup:
@@ -160,35 +146,4 @@ def cross_verify(n: int, brute_force_moduli: tuple[int, ...] = ()) -> WheelRepor
         brute_force_checks=tuple(checks),
         goeritz_ok=goeritz_ok,
         all_consistent=consistent,
-    )
-
-
-def wheel_matrix_routes_check(max_n: int) -> IdentityCheck:
-    """Recursive and closed wheel matrices agree entrywise for n <= max_n,
-    and for n <= 15 the closed determinant matches the Burau route's."""
-
-    def cases():
-        for n in range(1, max_n + 1):
-            closed = wheel_abf_matrix_closed(n)
-            if wheel_abf_matrix_recursive(n) != closed:
-                yield f"n={n} (recursive != closed)", False
-            elif n <= 15 and normalize_unit(closed.det()) != normalize_unit(
-                wheel_reduced_burau_matrix(n).det()
-            ):
-                yield f"n={n} (closed det != burau det)", False
-            else:
-                yield f"n={n}", True
-
-    return _run_cases("wheel_matrix_routes", cases())
-
-
-def wheel_cross_verify_check(max_n: int) -> IdentityCheck:
-    """cross_verify, with brute force mod 2, 3 and 5, is consistent for
-    every n <= max_n."""
-    return _run_cases(
-        "wheel_cross_verify",
-        (
-            (f"n={n}", cross_verify(n, brute_force_moduli=(2, 3, 5)).all_consistent)
-            for n in range(1, max_n + 1)
-        ),
     )

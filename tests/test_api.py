@@ -1,4 +1,8 @@
-"""The package's public names."""
+"""The package's public names and its immutable record types."""
+
+import re
+
+import pytest
 
 import foxabf
 
@@ -7,3 +11,86 @@ def test_every_exported_name_resolves():
     missing = [name for name in foxabf.__all__ if not hasattr(foxabf, name)]
     assert missing == []
     assert len(set(foxabf.__all__)) == len(foxabf.__all__)
+
+
+# Each record type: a factory of fresh equal instances and the repr text.
+_GROUP = "AbelianGroup(torsion=(5,), free_rank=0)"
+_RECORDS = {
+    "BraidWord": (lambda: foxabf.BraidWord(3, (1, -2)), "BraidWord(strands=3, letters=(1, -2))"),
+    "AbelianGroup": (lambda: foxabf.AbelianGroup((5,)), _GROUP),
+    "ColoringResult": (
+        lambda: foxabf.ColoringResult(foxabf.AbelianGroup((5,)), 5, foxabf.Matrix([[5]])),
+        f"ColoringResult(group={_GROUP}, determinant=5, reduced_matrix=Matrix([[5]]))",
+    ),
+    "ModulePresentation": (
+        lambda: foxabf.ModulePresentation(
+            foxabf.Matrix([[foxabf.LaurentPoly.t()]]), foxabf.LaurentPoly.one()
+        ),
+        "ModulePresentation(matrix=Matrix([[LaurentPoly('t')]]), alexander=LaurentPoly('1'), "
+        "ideal_gens=None, det_a_prime=None)",
+    ),
+    "IdentityCheck": (
+        lambda: foxabf.IdentityCheck("fib_doubling", 40),
+        "IdentityCheck(name='fib_doubling', cases=40, counterexample=None)",
+    ),
+    "BruteForceCheck": (
+        lambda: foxabf.BruteForceCheck(5, 25, 25),
+        "BruteForceCheck(modulus=5, count=25, predicted=25)",
+    ),
+    "WheelReport": (
+        lambda: foxabf.WheelReport(
+            n=1,
+            closed_form_group=foxabf.AbelianGroup(),
+            burau_group=foxabf.AbelianGroup(),
+            module=None,
+            abf_gens_at_minus_one=(1, 1),
+            brute_force_checks=(foxabf.BruteForceCheck(2, 2, 2),),
+            goeritz_ok=True,
+            all_consistent=True,
+        ),
+        "WheelReport(n=1, closed_form_group=AbelianGroup(torsion=(), free_rank=0), "
+        "burau_group=AbelianGroup(torsion=(), free_rank=0), module=None, "
+        "abf_gens_at_minus_one=(1, 1), "
+        "brute_force_checks=(BruteForceCheck(modulus=2, count=2, predicted=2),), "
+        "goeritz_ok=True, all_consistent=True)",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_RECORDS))
+def test_records_are_immutable_values(name):
+    make, text = _RECORDS[name]
+    record, twin = make(), make()
+    assert record is not twin
+    assert record == twin and not record != twin
+    assert hash(record) == hash(twin)
+    assert repr(record) == text
+    field = text[len(name) + 1 :].partition("=")[0]  # the first field the repr names
+    with pytest.raises(AttributeError):
+        setattr(record, field, None)
+    with pytest.raises(AttributeError):
+        record.extra = 1
+    assert record == twin
+
+
+def test_braid_word_is_not_iterable():
+    with pytest.raises(TypeError):
+        iter(foxabf.BraidWord(3, (1,)))
+    assert len(foxabf.BraidWord(3, (1, -2, 1))) == 3
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: foxabf.BraidWord(0), "strand count must be a positive integer"),
+        (lambda: foxabf.BraidWord(3, (0,)), "invalid letter 0: letters are nonzero ints"),
+        (lambda: foxabf.BraidWord(3, [True]), "invalid letter True: letters are nonzero ints"),
+        (lambda: foxabf.BraidWord(3, (3,)), "letter 3 needs at least 4 strands, word has 3"),
+        (lambda: foxabf.AbelianGroup((1,)), "invariant factors must be at least 2"),
+        (lambda: foxabf.AbelianGroup((4, 6)), "broken divisibility chain: 4 does not divide 6"),
+        (lambda: foxabf.AbelianGroup(free_rank=-1), "free rank must be non-negative"),
+    ],
+)
+def test_record_validation_messages(make, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        make()

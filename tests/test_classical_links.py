@@ -15,9 +15,10 @@ from hypothesis import strategies as st
 from sympy.polys.matrices import DomainMatrix
 
 from foxabf.alexander import alexander_polynomial, wheel_module
-from foxabf.braid import BraidWord, closure_components, random_word, reduced_relation_matrix
+from foxabf.braid import BraidWord, closure_components, reduced_relation_matrix
 from foxabf.coloring import coloring_group
 from foxabf.ring import AbelianGroup, LaurentPoly, Matrix, normalize_unit, snf
+from foxabf.verify import random_word
 
 
 def torus_word(n):

@@ -553,20 +553,29 @@ def test_help_prints_usage_and_exits_0(argv, capsys):
 
 def test_cli_request_imports_no_argument_parsing_machinery():
     # argparse loads shutil (and with it zlib, bz2, lzma) and gettext (and
-    # locale) inside every request; typing came in through ring and sequences
+    # locale) inside every request; typing came in through ring and sequences,
+    # dataclasses (and with it inspect) through every record type, and random
+    # through the check suites that now live in foxabf.verify
     src = Path(cli.__file__).resolve().parents[1]
-    code = (
-        "import contextlib, io, sys\n"
-        f"sys.path.insert(0, {str(src)!r})\n"
-        "import foxabf.cli\n"
-        "with contextlib.redirect_stdout(io.StringIO()):\n"
-        "    assert foxabf.cli.main(['colorgroup', '1', '--format', 'json']) == 0\n"
-        "print(' '.join(sorted(sys.modules)))\n"
-    )
-    result = subprocess.run(
-        [sys.executable, "-S", "-c", code], capture_output=True, text=True, timeout=60
-    )
-    assert result.returncode == 0, result.stderr
-    loaded = set(result.stdout.split())
+
+    def fresh_request(argv):
+        code = (
+            "import contextlib, io, sys\n"
+            f"sys.path.insert(0, {str(src)!r})\n"
+            "import foxabf.cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    assert foxabf.cli.main({argv!r}) == 0\n"
+            "print(' '.join(sorted(sys.modules)))\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-S", "-c", code], capture_output=True, text=True, timeout=60
+        )
+        assert result.returncode == 0, result.stderr
+        return set(result.stdout.split())
+
+    loaded = fresh_request(["colorgroup", "1", "--format", "json"])
     assert "foxabf.cli" in loaded
-    assert not loaded & {"argparse", "shutil", "locale", "gettext", "typing"}
+    unwanted = {"argparse", "shutil", "locale", "gettext", "typing", "dataclasses", "inspect"}
+    assert not loaded & (unwanted | {"random", "foxabf.verify"})
+    # verify imports its suites inside the command, outside pytest's process
+    assert "foxabf.verify" in fresh_request(["verify", "--max-n", "2", "--max-index", "2"])

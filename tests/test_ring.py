@@ -632,3 +632,11 @@ def test_snf_matches_sympy_on_braid_matrices(sp):
         assert factors == expected, (strands, letters)
         singular += len(factors) < m.rows
     assert singular > 0
+
+
+def test_group_stores_its_torsion_as_a_tuple():
+    # a list argument once made a group unequal to its tuple twin, and unhashable
+    group = AbelianGroup([4, 8])
+    assert group.torsion == (4, 8)
+    assert group == AbelianGroup((4, 8))
+    assert hash(group) == hash(AbelianGroup((4, 8)))

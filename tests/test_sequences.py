@@ -18,9 +18,9 @@ from foxabf.sequences import (
     identity_suite,
     iterate_chebyshev_recurrence,
     lucas,
-    recurrence_solver_check,
     solve_chebyshev_recurrence,
 )
+from foxabf.verify import recurrence_solver_check
 
 TI = LaurentPoly.t(-1)
 
