@@ -40,7 +40,8 @@ col1, col2 <- col2, z*col2 - col1, then one cleanup (col1 -= u*col2,
 swap) that takes the first row from (u, 1) to (1, 0).  The result is the
 cyclic decomposition with ideal generators (g_n, det(A'_n) * g_n), whose
 normalized product is the Alexander polynomial: det A_n = g_n^2 * det(A'_n)
-in any commutative ring, so wheel_module takes no determinant of A_n.
+in any commutative ring, so wheel_module builds no A_n; wheel.cross_verify
+builds it once and checks that A_n at t = -1 presents the Fox group.
 """
 
 from __future__ import annotations
@@ -62,13 +63,14 @@ class InternalConsistencyError(RuntimeError):
     signals a bug, not bad input."""
 
 
-ModulePresentation = namedtuple(
-    "ModulePresentation", "matrix alexander ideal_gens det_a_prime", defaults=(None, None)
-)
-ModulePresentation.__doc__ = """Relation matrix (rows are relations), normalized
-Alexander polynomial, and - for the wheel family only - the ordered pair of
-cyclic ideal generators (g, h) with g | h and the determinant of
-A'_n = A_n / (-g_n)."""
+ModulePresentation = namedtuple("ModulePresentation", "matrix alexander")
+ModulePresentation.__doc__ = """Relation matrix (rows are relations) and normalized
+Alexander polynomial of a general braid closure."""
+
+WheelModule = namedtuple("WheelModule", "alexander ideal_gens det_a_prime")
+WheelModule.__doc__ = """Cyclic decomposition of the wheel module: normalized
+Alexander polynomial, the ordered pair of cyclic ideal generators (g, h)
+with g | h, and the determinant of A'_n = A_n / (-g_n)."""
 
 
 def alexander_polynomial(word: BraidWord) -> LaurentPoly:
@@ -177,16 +179,12 @@ def wheel_euclidean_reduction(
     return gens, det_a_prime
 
 
-def wheel_module(n: int) -> ModulePresentation:
-    """Reduced module of the wheel-family closure: closed-form matrix,
-    cyclic ideal generators, det A'_n, and the generators' normalized
-    product as the Alexander polynomial (no determinant of A_n)."""
-    matrix = wheel_abf_matrix_closed(n)
+def wheel_module(n: int) -> WheelModule:
+    """Reduced module of the wheel-family closure: cyclic ideal generators,
+    det A'_n, and the generators' normalized product as the Alexander
+    polynomial (no A_n is built)."""
     gens, det_a_prime = wheel_euclidean_reduction(n)
-    alexander = normalize_unit(gens[0] * gens[1])
-    return ModulePresentation(
-        matrix=matrix, alexander=alexander, ideal_gens=gens, det_a_prime=det_a_prime
-    )
+    return WheelModule(normalize_unit(gens[0] * gens[1]), gens, det_a_prime)
 
 
 def wheel_reduced_burau_matrix(n: int) -> Matrix:

@@ -7,14 +7,15 @@ Fibonacci route presents it by the 2x2 matrix
 [[F_{2n}, F_{2n-1}-1], [F_{2n+1}-1, F_{2n}]] and reduces it by an
 alternating pair of column operations; reduction_trace replays that exact
 operation sequence.  goeritz_equivalence_check compares against the
-independently derived Goeritz presentation built from S_k(3).
+independently derived Goeritz presentation built from S_k(3), and
+cross_verify also reads the closed-form ABF matrix A_n at t = -1.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 
-from .alexander import wheel_module
+from .alexander import wheel_abf_matrix_closed, wheel_module
 from .braid import wheel_braid
 from .coloring import brute_force_coloring_count, coloring_count_from_group, coloring_group
 from .ring import AbelianGroup, Matrix, snf
@@ -71,8 +72,6 @@ def reduction_trace(n: int) -> list[Matrix]:
     n operations at [[2F_n, -F_n], [F_n, 2F_n]] followed by one extra step
     (col1 += 2*col2) giving [[0, -F_n], [5F_n, 2F_n]].
     """
-    if n < 1:
-        raise ValueError("the wheel family starts at n = 1")
     trace = [fibonacci_relation_matrix(n)]
     steps = n + 1 if n % 2 else n
     for step in range(1, steps + 1):
@@ -105,15 +104,15 @@ def cross_verify(n: int, brute_force_moduli: tuple[int, ...] = ()) -> WheelRepor
     """Run every route for one wheel index and compare:
 
     closed Fibonacci/Lucas form, Burau reduction at t = -1 (for both the
-    default and the middle drop index), the module generators evaluated at
+    default and the middle drop index), A_n and the module generators at
     t = -1, brute-force coloring counts, and the Goeritz presentation.
     """
-    if n < 1:
-        raise ValueError("the wheel family starts at n = 1")
     word = wheel_braid(n)
     closed = fox_closed_form(n)
     burau_group = coloring_group(word).group
     drop_middle_group = coloring_group(word, drop_index=2).group
+    abf_rows = wheel_abf_matrix_closed(n).entries()
+    abf_group = snf(Matrix([[p.at_minus_one() for p in row] for row in abf_rows]))
 
     module = wheel_module(n)
     gens_at = tuple(abs(g.at_minus_one()) for g in module.ideal_gens)
@@ -133,6 +132,7 @@ def cross_verify(n: int, brute_force_moduli: tuple[int, ...] = ()) -> WheelRepor
     consistent = (
         closed == burau_group
         and burau_group == drop_middle_group
+        and abf_group == closed
         and gens_torsion == closed.torsion
         and all(check.ok for check in checks)
         and goeritz_ok

@@ -6,6 +6,8 @@ import pytest
 from foxabf import alexander
 from foxabf.alexander import (
     InternalConsistencyError,
+    ModulePresentation,
+    WheelModule,
     alexander_polynomial,
     general_presentation,
     wheel_abf_matrix_closed,
@@ -75,8 +77,10 @@ def test_alexander_split_unlink():
 
 
 def test_general_presentation_has_no_gens():
+    # each family's record has only the fields that family fills
+    assert ModulePresentation._fields == ("matrix", "alexander")
+    assert "matrix" not in WheelModule._fields
     pres = general_presentation(parse_braid("1 -2 1 -2"))
-    assert pres.ideal_gens is None
     assert pres.alexander == LaurentPoly({0: 1, 1: -3, 2: 1})
 
 
@@ -237,7 +241,7 @@ def test_wheel_module_invariant():
         module = wheel_module(n)
         g, h = module.ideal_gens
         divide_exact(h, g)
-        assert normalize_unit(g * h) == normalize_unit(module.matrix.det())
+        assert normalize_unit(g * h) == normalize_unit(wheel_abf_matrix_closed(n).det())
         assert module.alexander == normalize_unit(g * h)
 
 
@@ -251,12 +255,16 @@ def test_wheel_module_specializations():
 
 
 def test_specialization_bridge():
-    # ideal generators at t = -1 give the Fox invariant factors, n <= 50
+    # ideal generators at t = -1 give the Fox invariant factors, and A_n at
+    # t = -1 presents the Fox group, n <= 50
     for n in range(1, 51):
         gens = wheel_module(n).ideal_gens
         values = tuple(sorted(abs(p.at_minus_one()) for p in gens))
         torsion = tuple(v for v in values if v > 1)
         assert torsion == fox_closed_form(n).torsion, n
+        rows = wheel_abf_matrix_closed(n).entries()
+        specialized = Matrix([[p.at_minus_one() for p in row] for row in rows])
+        assert snf(specialized) == fox_closed_form(n), n
 
 
 def test_module_group_agreement():

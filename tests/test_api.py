@@ -26,8 +26,14 @@ _RECORDS = {
         lambda: foxabf.ModulePresentation(
             foxabf.Matrix([[foxabf.LaurentPoly.t()]]), foxabf.LaurentPoly.one()
         ),
-        "ModulePresentation(matrix=Matrix([[LaurentPoly('t')]]), alexander=LaurentPoly('1'), "
-        "ideal_gens=None, det_a_prime=None)",
+        "ModulePresentation(matrix=Matrix([[LaurentPoly('t')]]), alexander=LaurentPoly('1'))",
+    ),
+    "WheelModule": (
+        lambda: foxabf.WheelModule(
+            foxabf.LaurentPoly.one(), (foxabf.LaurentPoly.one(),) * 2, foxabf.LaurentPoly.one()
+        ),
+        "WheelModule(alexander=LaurentPoly('1'), "
+        "ideal_gens=(LaurentPoly('1'), LaurentPoly('1')), det_a_prime=LaurentPoly('1'))",
     ),
     "IdentityCheck": (
         lambda: foxabf.IdentityCheck("fib_doubling", 40),
@@ -55,6 +61,17 @@ _RECORDS = {
         "goeritz_ok=True, all_consistent=True)",
     ),
 }
+
+
+def test_every_record_type_has_a_case():
+    # every exported named tuple, and the one record that is no tuple
+    exported = (getattr(foxabf, name) for name in foxabf.__all__)
+    records = {
+        cls.__name__
+        for cls in exported
+        if isinstance(cls, type) and issubclass(cls, tuple) and hasattr(cls, "_fields")
+    }
+    assert records | {"BraidWord"} == set(_RECORDS)
 
 
 @pytest.mark.parametrize("name", sorted(_RECORDS))

@@ -208,8 +208,8 @@ def test_wheel_computes_the_module_once(capsys, monkeypatch):
 
 
 def test_wheel_builds_each_wheel_matrix_once(capsys, monkeypatch):
-    # one formula builds both matrices: A_n for the report and -A'_n for
-    # the Euclidean reduction, once each
+    # one formula builds both matrices: A_n for the t = -1 route of
+    # cross_verify and -A'_n for the Euclidean reduction, once each
     builds = count_calls(monkeypatch, alexander, "_wheel_matrix")
     code, _ = run(["wheel", "7"], capsys)
     assert code == 0
@@ -305,10 +305,12 @@ def test_table_markdown(capsys):
 
 
 def test_table_builds_each_matrix_once(capsys, monkeypatch):
-    builds = count_calls(monkeypatch, alexander, "wheel_abf_matrix_closed")
+    # a row needs only the cyclic decomposition: one -A'_n and no A_n
+    closed = count_calls(monkeypatch, alexander, "wheel_abf_matrix_closed")
+    builds = count_calls(monkeypatch, alexander, "_wheel_matrix")
     code, _ = run(["table", "--from", "2", "--to", "11"], capsys)
     assert code == 0
-    assert [args[0] for args in builds] == list(range(2, 12))
+    assert (len(closed), len(builds)) == (0, 10)
 
 
 def test_table_bad_range_exits_2(capsys):

@@ -5,7 +5,8 @@ import math
 
 import pytest
 
-from foxabf.alexander import wheel_euclidean_reduction, wheel_module
+from foxabf import cli, wheel
+from foxabf.alexander import wheel_euclidean_reduction, wheel_g, wheel_module
 from foxabf.braid import wheel_braid
 from foxabf.coloring import coloring_group
 from foxabf.ring import AbelianGroup, Matrix, snf
@@ -168,6 +169,22 @@ def test_report_carries_the_wheel_module():
         module = cross_verify(n).module
         assert module == wheel_module(n)
         assert module.det_a_prime == wheel_euclidean_reduction(n)[1]
+
+
+@pytest.mark.parametrize("n", [4, 7, 12])
+def test_corrupted_closed_matrix_fails_the_check(n, monkeypatch, capsys):
+    # A_n with g_n^2 added to one entry no longer presents the Fox group at
+    # t = -1, and that route alone disagrees
+    build = wheel.wheel_abf_matrix_closed
+
+    def corrupted(k):
+        (a, b), (c, d) = build(k).entries()
+        return Matrix([[a + wheel_g(k) * wheel_g(k), b], [c, d]])
+
+    monkeypatch.setattr(wheel, "wheel_abf_matrix_closed", corrupted)
+    assert not cross_verify(n).all_consistent
+    assert cli.main(["wheel", str(n)]) == 1
+    assert "all routes consistent: False" in capsys.readouterr().out
 
 
 def test_cross_verify_rejects_bad_n():
