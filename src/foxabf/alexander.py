@@ -7,6 +7,13 @@ sets that arc to zero).  Only the presentation matrix and the Alexander
 polynomial are emitted for general words: Z[t^(+/-1)] is not a PID, so no
 cyclic decomposition is claimed there.
 
+A word that never uses some sigma_i (1 <= i < strands) closes to a split
+link, and its Alexander polynomial is 0 with no determinant taken:
+burau(w) is block-diagonal on strands 1..i and i+1..s, the weighted row
+(t^{i-1}, ..., 1) is a left null vector of the first block of
+burau(w) - Id, and dropping strand s leaves that block whole, so the
+reduced matrix is singular.
+
 For the wheel family (closures of (sigma_1 sigma_2^{-1})^n) the module
 does decompose, and two independent routes compute the same 2x2
 presentation:
@@ -81,8 +88,20 @@ def alexander_polynomial(word: BraidWord) -> LaurentPoly:
 
 def general_presentation(word: BraidWord) -> ModulePresentation:
     """Presentation + Alexander polynomial for an arbitrary braid word
-    (no cyclic decomposition)."""
+    (no cyclic decomposition).
+
+    A word without some sigma_i (1 <= i < strands) gets Delta = 0 and no
+    determinant is taken; the matrix is still built.  burau(w) is then
+    block-diagonal on strands 1..i and i+1..s, the first block of
+    burau(w) - Id has the left null vector (t^{i-1}, ..., 1), and the
+    reduced matrix (strand s dropped) keeps that block whole.
+    """
     matrix = reduced_relation_matrix(word)
+    # every letter has 1 <= |letter| < strands, so fewer distinct |letter|
+    # than strands - 1 means some sigma_i is absent: the strands 1..i block
+    # of burau(w) - Id is singular and survives dropping strand s, so det = 0
+    if len({abs(letter) for letter in word.letters}) < word.strands - 1:
+        return ModulePresentation(matrix=matrix, alexander=LaurentPoly.zero())
     det = matrix.det()
     alexander = normalize_unit(det) if det else LaurentPoly.zero()
     return ModulePresentation(matrix=matrix, alexander=alexander)

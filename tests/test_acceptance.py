@@ -9,6 +9,7 @@ tests/test_acceptance.py -v -s`` to see the lines as they go by.
 import random
 import time
 
+from foxabf import cli
 from foxabf.alexander import (
     alexander_polynomial,
     wheel_euclidean_reduction,
@@ -301,3 +302,21 @@ def test_criterion_9_alexander_sanity():
     report(9, ok, "alexander: wheel 1 -> 1, wheel 2 -> 1-3*t+t^2")
     assert unknot == ONE
     assert figure_eight == LaurentPoly({0: 1, 1: -3, 2: 1})
+
+
+def test_criterion_10_split_word_abf_within_one_second(capsys):
+    # 600 letters on 64 strands that never use sigma_31: the closure is
+    # split, so Delta = 0 is read off the word instead of from a 63x63
+    # Laurent determinant
+    rng = random.Random(7)
+    gens = [i for i in range(1, 64) if i != 31]
+    letters = [rng.choice((1, -1)) * rng.choice(gens) for _ in range(600)]
+    start = time.perf_counter()
+    code = cli.main(["abf", " ".join(map(str, letters)), "--strands", "64"])
+    elapsed = time.perf_counter() - start
+    last = capsys.readouterr().out.splitlines()[-1]
+    ok = code == 0 and last == "alexander polynomial: 0" and elapsed < 1.0
+    report(10, ok, f"abf on a split 64x600 word ({elapsed:.3f}s)")
+    assert code == 0
+    assert last == "alexander polynomial: 0"
+    assert elapsed < 1.0

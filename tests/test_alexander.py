@@ -2,6 +2,8 @@
 routes, Euclidean reduction, and specialization to Fox colorings."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from foxabf import alexander
 from foxabf.alexander import (
@@ -82,6 +84,44 @@ def test_general_presentation_has_no_gens():
     assert "matrix" not in WheelModule._fields
     pres = general_presentation(parse_braid("1 -2 1 -2"))
     assert pres.alexander == LaurentPoly({0: 1, 1: -3, 2: 1})
+
+
+# -- split words: Delta = 0 without a determinant ---------------------------------
+#
+# general_presentation reads Delta = 0 off a word that lacks some sigma_i;
+# these properties tie that rule to the Bareiss route it skips.  Derandomized
+# and without an example database, like the Markov properties.
+
+SPLIT_SETTINGS = settings(derandomize=True, database=None, deadline=None)
+
+
+@st.composite
+def words_using_every_generator(draw):
+    """A word on 2..6 strands with up to 16 free letters plus each sigma_i
+    (1 <= i < strands) once with a drawn sign, in a drawn order."""
+    strands = draw(st.integers(2, 6))
+    letter = st.sampled_from([i for i in range(1 - strands, strands) if i])
+    letters = draw(st.lists(letter, max_size=16))
+    signs = draw(st.lists(st.sampled_from((1, -1)), min_size=strands - 1, max_size=strands - 1))
+    letters += [sign * i for i, sign in enumerate(signs, start=1)]
+    return BraidWord(strands, tuple(draw(st.permutations(letters))))
+
+
+@SPLIT_SETTINGS
+@given(words_using_every_generator(), st.data())
+def test_word_without_a_generator_has_a_singular_bareiss_matrix(word, data):
+    absent = data.draw(st.integers(1, word.strands - 1))
+    split = BraidWord(word.strands, tuple(l for l in word.letters if abs(l) != absent))
+    assert reduced_relation_matrix(split).det() == 0
+    assert general_presentation(split).alexander == LaurentPoly.zero()
+
+
+@SPLIT_SETTINGS
+@given(words_using_every_generator())
+def test_word_using_every_generator_gets_the_bareiss_alexander(word):
+    det = reduced_relation_matrix(word).det()
+    expected = normalize_unit(det) if det else LaurentPoly.zero()
+    assert general_presentation(word).alexander == expected
 
 
 # -- wheel matrices: recursive vs closed -------------------------------------------

@@ -163,6 +163,25 @@ def test_abf_unknot_two_strands(capsys):
     assert doc["results"]["alexander"] == "1"
 
 
+@pytest.mark.parametrize(
+    "argv, dets, alexander",
+    [
+        (["abf", "1 1 1", "--strands", "5"], 0, "0"),
+        (["abf", "1 3 -1 3"], 0, "0"),  # sigma_2 absent
+        (["abf", "", "--strands", "3"], 0, "0"),
+        (["abf", "1 -2 1 -2"], 1, "1-3*t+t^2"),
+    ],
+)
+def test_abf_takes_no_determinant_of_a_split_word(argv, dets, alexander, capsys, monkeypatch):
+    # a word without some sigma_i closes to a split link: Delta = 0 is read
+    # off the word, and only a word using every generator runs Bareiss
+    calls = count_calls(monkeypatch, ring.Matrix, "det")
+    code, out = run(argv, capsys)
+    assert code == 0
+    assert out.splitlines()[-1] == f"alexander polynomial: {alexander}"
+    assert len(calls) == dets
+
+
 # -- wheel --------------------------------------------------------------------------
 
 
