@@ -25,7 +25,7 @@ presentation:
       P_{n+1} = -t*P_n - t^{-1}*Q_n - a
       Q_{n+1} = (1-t)*P_{n+1} + t*P_n + a - c
 
-  from P_0 = Q_0 = 0 (the identity braid);
+  in one walk from P_0 = Q_0 = 0 (the identity braid), t^{+/-1} as shifts;
 
 * closed route: with g_{2k} = S_{k-1} and g_{2k+1} = S_{k-1} + S_k
   (Chebyshev S at z = 1 - t - t^{-1}), both wheel matrices are instances
@@ -59,8 +59,6 @@ from .braid import BraidWord, reduced_relation_matrix, wheel_braid
 from .ring import LaurentPoly, Matrix, normalize_unit
 from .sequences import Z_OF_T, cheb_S_subst
 
-_T = LaurentPoly.t()
-_T_INV = LaurentPoly.t(-1)
 _ONE = LaurentPoly.one()
 _ZERO = LaurentPoly.zero()
 
@@ -118,22 +116,25 @@ def wheel_g(n: int) -> LaurentPoly:
     return cheb_S_subst(k - 1) + cheb_S_subst(k)
 
 
+def _wheel_recursion(max_n: int):
+    """Yield [[P^a_n, P^c_n], [Q^a_n, Q^c_n]] for n = 1, ..., max_n from
+    one walk of the pair recursion, with t^{+/-1} applied as shifts."""
+    p = q = (_ZERO, _ZERO)
+    for _ in range(max_n):
+        # column a: -a into P_{n+1} and +a into Q_{n+1}; column c: -c into Q_{n+1}
+        p, p_prev = tuple(-x.shift(1) - y.shift(-1) + k for x, y, k in zip(p, q, (-1, 0))), p
+        q = tuple(x - x.shift(1) + y.shift(1) + k for x, y, k in zip(p, p_prev, (1, -1)))
+        yield Matrix([p, q])
+
+
 def wheel_abf_matrix_recursive(n: int) -> Matrix:
     """Wheel presentation [[P^a_n, P^c_n], [Q^a_n, Q^c_n]] by iterating the
     pair recursion from the identity braid."""
     if n < 1:
         raise ValueError("the wheel family starts at n = 1")
-    pa = pc = qa = qc = _ZERO
-    for _ in range(n):
-        pa, pc, pa_prev, pc_prev = (
-            -(_T * pa) - _T_INV * qa - 1,
-            -(_T * pc) - _T_INV * qc,
-            pa,
-            pc,
-        )
-        qa = (_ONE - _T) * pa + _T * pa_prev + 1
-        qc = (_ONE - _T) * pc + _T * pc_prev - 1
-    return Matrix([[pa, pc], [qa, qc]])
+    for matrix in _wheel_recursion(n):
+        pass
+    return matrix
 
 
 def _wheel_matrix(p: LaurentPoly, q: LaurentPoly) -> Matrix:

@@ -47,14 +47,11 @@ def coloring_group(word: BraidWord, drop_index: int | None = None) -> ColoringRe
     return ColoringResult(group=group, determinant=group.order(), reduced_matrix=reduced)
 
 
-def brute_force_coloring_count(word: BraidWord, modulus: int) -> int:
-    """Number of Fox colorings of the closure with values in Z_modulus,
-    counted by exhaustive enumeration over the top arcs: O(L*s) to
-    propagate the rule through L letters on s strands, then O(m^s * s^2),
-    reading only the strand count and the letters."""
+def _check_enumeration(strands: int, modulus: int) -> None:
+    """Refuse a modulus below 2, and an enumeration of modulus**strands
+    assignments past ENUMERATION_CAP, before any of it runs."""
     if modulus < 2:
         raise ValueError("modulus must be at least 2")
-    strands = word.strands
     # modulus**strands >= 2**((bits - 1) * strands): past the cap's bit
     # length the power is refused unformed, as it may be too large to print
     if (modulus.bit_length() - 1) * strands >= ENUMERATION_CAP.bit_length():
@@ -66,6 +63,15 @@ def brute_force_coloring_count(word: BraidWord, modulus: int) -> int:
         raise EnumerationLimitError(
             f"{modulus}^{strands} = {total} assignments exceed the cap {ENUMERATION_CAP}"
         )
+
+
+def brute_force_coloring_count(word: BraidWord, modulus: int) -> int:
+    """Number of Fox colorings of the closure with values in Z_modulus,
+    counted by exhaustive enumeration over the top arcs: O(L*s) to
+    propagate the rule through L letters on s strands, then O(m^s * s^2),
+    reading only the strand count and the letters."""
+    strands = word.strands
+    _check_enumeration(strands, modulus)
     # arcs[j]: color of the arc at position j as coefficients mod m over
     # the top arcs; the rule is linear, so one pass serves every assignment
     arcs = [[int(i == j) for i in range(strands)] for j in range(strands)]

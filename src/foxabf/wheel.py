@@ -17,7 +17,12 @@ from collections import namedtuple
 
 from .alexander import wheel_abf_matrix_closed, wheel_module
 from .braid import wheel_braid
-from .coloring import brute_force_coloring_count, coloring_count_from_group, coloring_group
+from .coloring import (
+    _check_enumeration,
+    brute_force_coloring_count,
+    coloring_count_from_group,
+    coloring_group,
+)
 from .ring import AbelianGroup, Matrix, snf
 from .sequences import cheb_S_at, fib, lucas
 
@@ -108,6 +113,8 @@ def cross_verify(n: int, brute_force_moduli: tuple[int, ...] = ()) -> WheelRepor
     t = -1, brute-force coloring counts, and the Goeritz presentation.
     """
     word = wheel_braid(n)
+    for modulus in brute_force_moduli:  # refuse an over-cap modulus before any route runs
+        _check_enumeration(word.strands, modulus)
     closed = fox_closed_form(n)
     burau_group = coloring_group(word).group
     drop_middle_group = coloring_group(word, drop_index=2).group

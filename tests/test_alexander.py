@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from foxabf import alexander
+from foxabf import alexander, verify
 from foxabf.alexander import (
     InternalConsistencyError,
     ModulePresentation,
@@ -22,7 +22,7 @@ from foxabf.alexander import (
 from foxabf.braid import BraidWord, parse_braid, reduced_relation_matrix, wheel_braid
 from foxabf.coloring import coloring_group
 from foxabf.ring import LaurentPoly, Matrix, divide_exact, normalize_unit, snf
-from foxabf.sequences import cheb_S_subst, fib
+from foxabf.sequences import IdentityCheck, cheb_S_subst, fib
 from foxabf.wheel import fox_closed_form
 
 T = LaurentPoly.t()
@@ -187,6 +187,43 @@ def test_det_matches_burau_route():
         closed = normalize_unit(wheel_abf_matrix_closed(n).det())
         via_burau = normalize_unit(wheel_reduced_burau_matrix(n).det())
         assert closed == via_burau, n
+
+
+def test_routes_check_walks_the_recursion_once(monkeypatch):
+    # one walk serves every n; restarting it per n would make 30 walks
+    # and draw 465 matrices
+    original = alexander._wheel_recursion
+    walks, drawn = [], []
+
+    def counted(max_n):
+        walks.append(max_n)
+        for matrix in original(max_n):
+            drawn.append(matrix)
+            yield matrix
+
+    for module in (alexander, verify):
+        monkeypatch.setattr(module, "_wheel_recursion", counted)
+    assert verify.wheel_matrix_routes_check(30) == IdentityCheck("wheel_matrix_routes", 30)
+    assert (walks, len(drawn)) == ([30], 30)
+
+
+def test_routes_check_names_the_first_disagreement(monkeypatch):
+    original = alexander._wheel_recursion
+
+    def corrupted(max_n):
+        for n, matrix in enumerate(original(max_n), 1):
+            if n == 4:
+                (pa, pc), q_row = matrix.entries()
+                matrix = Matrix([[pa + 1, pc], q_row])
+            yield matrix
+
+    monkeypatch.setattr(verify, "_wheel_recursion", corrupted)
+    check = verify.wheel_matrix_routes_check(10)
+    assert (check.passed, check.cases, check.counterexample) == (
+        False,
+        4,
+        "n=4 (recursive != closed)",
+    )
 
 
 def test_closed_matrix_at_minus_one_presents_fox_group():
