@@ -40,22 +40,22 @@ presentation:
   and 3 - t - t^{-1} for even n, and det A_n equals the determinant of
   the Burau-route reduced matrix (middle strand dropped).
 
-wheel_euclidean_reduction builds -A'_n, replays the column operations
-that bring the first row to (g_{n+1}, g_{n-1}), and runs the Euclidean
-descent: n//2 - 1 steps of the Chebyshev recurrence
-col1, col2 <- col2, z*col2 - col1, then one cleanup (col1 -= u*col2,
-swap) that takes the first row from (u, 1) to (1, 0).  The result is the
-cyclic decomposition with ideal generators (g_n, det(A'_n) * g_n), whose
-normalized product is the Alexander polynomial: det A_n = g_n^2 * det(A'_n)
-in any commutative ring, so wheel_module builds no A_n; wheel.cross_verify
-builds it once and checks that A_n at t = -1 presents the Fox group.
+wheel_module builds -A'_n, replays the column operations that bring the
+first row to (g_{n+1}, g_{n-1}), and runs the Euclidean descent: n//2 - 1
+steps of the Chebyshev recurrence col1, col2 <- col2, z*col2 - col1, then
+one cleanup (col1 -= u*col2, swap) that takes the first row from (u, 1) to
+(1, 0).  The result is the cyclic decomposition with ideal generators
+(g_n, det(A'_n) * g_n), whose normalized product is the Alexander
+polynomial: det A_n = g_n^2 * det(A'_n) in any commutative ring, so
+wheel_module builds no A_n; wheel.cross_verify builds it once and checks
+that A_n at t = -1 presents the Fox group.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 
-from .braid import BraidWord, reduced_relation_matrix, wheel_braid
+from .braid import BraidWord, burau, reduced_relation_matrix
 from .ring import LaurentPoly, Matrix, normalize_unit
 from .sequences import Z_OF_T, cheb_S_subst
 
@@ -78,12 +78,6 @@ Alexander polynomial, the ordered pair of cyclic ideal generators (g, h)
 with g | h, and the determinant of A'_n = A_n / (-g_n)."""
 
 
-def alexander_polynomial(word: BraidWord) -> LaurentPoly:
-    """Normalized generator of the maximal-minor ideal of the reduced
-    presentation; 1 for the unknot, 0 when the determinant vanishes."""
-    return general_presentation(word).alexander
-
-
 def general_presentation(word: BraidWord) -> ModulePresentation:
     """Presentation + Alexander polynomial for an arbitrary braid word
     (no cyclic decomposition).
@@ -94,7 +88,7 @@ def general_presentation(word: BraidWord) -> ModulePresentation:
     burau(w) - Id has the left null vector (t^{i-1}, ..., 1), and the
     reduced matrix (strand s dropped) keeps that block whole.
     """
-    matrix = reduced_relation_matrix(word)
+    matrix = reduced_relation_matrix(burau(word))
     # every letter has 1 <= |letter| < strands, so fewer distinct |letter|
     # than strands - 1 means some sigma_i is absent: the strands 1..i block
     # of burau(w) - Id is singular and survives dropping strand s, so det = 0
@@ -152,15 +146,15 @@ def wheel_abf_matrix_closed(n: int) -> Matrix:
     return _wheel_matrix(g * wheel_g(n + 1), g * wheel_g(n - 1))
 
 
-def wheel_euclidean_reduction(
-    n: int,
-) -> tuple[tuple[LaurentPoly, LaurentPoly], LaurentPoly]:
-    """Cyclic decomposition of the wheel module.
+def wheel_module(n: int) -> WheelModule:
+    """Reduced module of the wheel-family closure, by the Euclidean
+    reduction of -A'_n = W(g_{n+1}, g_{n-1}); no A_n is built.
 
-    Returns ((g, h), det_a_prime) where g = g_n and h = det(A'_n) * g_n,
-    both unit-normalized, and det_a_prime is the exact determinant of
-    A'_n = A_n / (-g_n): 1 for odd n, 3 - t - t^{-1} for even n.  It is
-    the determinant of -A'_n = W(g_{n+1}, g_{n-1}), the same for a 2x2.
+    The ideal generators are (g, h) with g = g_n and h = det(A'_n) * g_n,
+    both unit-normalized; det_a_prime is the exact determinant of
+    A'_n = A_n / (-g_n), 1 for odd n and 3 - t - t^{-1} for even n (that
+    of -A'_n, the same for a 2x2); the Alexander polynomial is the
+    generators' normalized product.
     """
     if n < 1:
         raise ValueError("the wheel family starts at n = 1")
@@ -196,18 +190,4 @@ def wheel_euclidean_reduction(
         )
     g = wheel_g(n)
     gens = (normalize_unit(g), normalize_unit(det_a_prime * g))
-    return gens, det_a_prime
-
-
-def wheel_module(n: int) -> WheelModule:
-    """Reduced module of the wheel-family closure: cyclic ideal generators,
-    det A'_n, and the generators' normalized product as the Alexander
-    polynomial (no A_n is built)."""
-    gens, det_a_prime = wheel_euclidean_reduction(n)
     return WheelModule(normalize_unit(gens[0] * gens[1]), gens, det_a_prime)
-
-
-def wheel_reduced_burau_matrix(n: int) -> Matrix:
-    """Burau-route presentation with the middle strand dropped; the
-    independent check of the closed form (equal determinants)."""
-    return reduced_relation_matrix(wheel_braid(n), drop_index=2)

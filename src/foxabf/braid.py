@@ -253,21 +253,19 @@ def burau_at_minus_one(word: BraidWord) -> Matrix:
     return _burau_product(word, _AT_MINUS_ONE)
 
 
-def reduced_relation_matrix(
-    word: BraidWord, drop_index: int | None = None, at_minus_one: bool = False
-) -> Matrix:
-    """burau(word) - Id (at t = -1 over Z when ``at_minus_one``) with
-    row/column ``drop_index`` (1-based, default the last strand) deleted,
-    built in one pass over burau(word); one strand gives the 0x0 matrix."""
-    drop = word.strands if drop_index is None else drop_index
-    if not (1 <= drop <= word.strands):
-        raise ValueError(f"drop_index {drop} out of range for {word.strands} strands")
-    product, one = (burau_at_minus_one, 1) if at_minus_one else (burau, _LAURENT[0])
+def reduced_relation_matrix(product: Matrix, drop_index: int | None = None) -> Matrix:
+    """product - Id for a Burau product over either ring (burau(word) or
+    burau_at_minus_one(word)), with row/column ``drop_index`` (1-based,
+    default the last strand) deleted, built in one pass; one strand gives
+    the 0x0 matrix."""
+    drop = product.rows if drop_index is None else drop_index
+    if not (1 <= drop <= product.rows):
+        raise ValueError(f"drop_index {drop} out of range for {product.rows} strands")
     d = drop - 1
     return Matrix(
         [
-            [a - one if i == j else a for j, a in enumerate(row) if j != d]
-            for i, row in enumerate(product(word).entries())
+            [a - 1 if i == j else a for j, a in enumerate(row) if j != d]
+            for i, row in enumerate(product.entries())
             if i != d
         ]
     )

@@ -25,7 +25,7 @@ import math
 import operator
 from collections import namedtuple
 
-from .braid import BraidWord, _echo, reduced_relation_matrix
+from .braid import BraidWord, _echo, burau_at_minus_one, reduced_relation_matrix
 from .ring import AbelianGroup, snf
 
 # Most assignments brute_force_coloring_count enumerates: modulus**strands.
@@ -42,7 +42,7 @@ ColoringResult = namedtuple("ColoringResult", "group determinant reduced_matrix"
 def coloring_group(word: BraidWord, drop_index: int | None = None) -> ColoringResult:
     """Reduced Fox coloring group of the closure, as SNF invariant factors;
     the determinant is the group order (0 when the group is infinite)."""
-    reduced = reduced_relation_matrix(word, drop_index, at_minus_one=True)
+    reduced = reduced_relation_matrix(burau_at_minus_one(word), drop_index)
     group = snf(reduced)
     return ColoringResult(group=group, determinant=group.order(), reduced_matrix=reduced)
 

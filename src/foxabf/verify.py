@@ -5,8 +5,8 @@ from __future__ import annotations
 
 import random
 
-from .alexander import _wheel_recursion, wheel_abf_matrix_closed, wheel_reduced_burau_matrix
-from .braid import BraidWord, burau, exponent_sum
+from .alexander import _wheel_recursion, wheel_abf_matrix_closed
+from .braid import BraidWord, burau, exponent_sum, reduced_relation_matrix, wheel_braid
 from .ring import LaurentPoly, Matrix, normalize_unit
 from .sequences import (
     IdentityCheck,
@@ -112,7 +112,7 @@ def wheel_matrix_routes_check(max_n: int) -> IdentityCheck:
             if recursive != closed:
                 yield f"n={n} (recursive != closed)", False
             elif n <= 15 and normalize_unit(closed.det()) != normalize_unit(
-                wheel_reduced_burau_matrix(n).det()
+                reduced_relation_matrix(burau(wheel_braid(n)), 2).det()
             ):
                 yield f"n={n} (closed det != burau det)", False
             else:

@@ -10,11 +10,7 @@ import random
 import time
 
 from foxabf import cli
-from foxabf.alexander import (
-    alexander_polynomial,
-    wheel_euclidean_reduction,
-    wheel_module,
-)
+from foxabf.alexander import general_presentation, wheel_module
 from foxabf.braid import BraidWord, burau, exponent_sum, wheel_braid
 from foxabf.coloring import (
     brute_force_coloring_count,
@@ -106,7 +102,7 @@ def test_criterion_4_module_closed_forms():
     start = time.perf_counter()
     gen_failures = []
     for n in range(1, 51):
-        gens, _ = wheel_euclidean_reduction(n)
+        gens = wheel_module(n).ideal_gens
         k = n // 2
         if n % 2:
             expected = normalize_unit(cheb_S_subst(k - 1) + cheb_S_subst(k))
@@ -119,7 +115,7 @@ def test_criterion_4_module_closed_forms():
     det_failures = [
         n
         for n in range(1, 101)
-        if wheel_euclidean_reduction(n)[1] != (ONE if n % 2 else DET_EVEN)
+        if wheel_module(n).det_a_prime != (ONE if n % 2 else DET_EVEN)
     ]
     elapsed = time.perf_counter() - start
     ok = not gen_failures and not det_failures and elapsed < 10.0
@@ -296,8 +292,8 @@ def test_criterion_8_reduction_replay_and_goeritz():
 
 
 def test_criterion_9_alexander_sanity():
-    unknot = alexander_polynomial(wheel_braid(1))
-    figure_eight = alexander_polynomial(wheel_braid(2))
+    unknot = general_presentation(wheel_braid(1)).alexander
+    figure_eight = general_presentation(wheel_braid(2)).alexander
     ok = unknot == ONE and figure_eight == LaurentPoly({0: 1, 1: -3, 2: 1})
     report(9, ok, "alexander: wheel 1 -> 1, wheel 2 -> 1-3*t+t^2")
     assert unknot == ONE

@@ -10,16 +10,13 @@ from foxabf.alexander import (
     InternalConsistencyError,
     ModulePresentation,
     WheelModule,
-    alexander_polynomial,
     general_presentation,
     wheel_abf_matrix_closed,
     wheel_abf_matrix_recursive,
-    wheel_euclidean_reduction,
     wheel_g,
     wheel_module,
-    wheel_reduced_burau_matrix,
 )
-from foxabf.braid import BraidWord, parse_braid, reduced_relation_matrix, wheel_braid
+from foxabf.braid import BraidWord, burau, parse_braid, reduced_relation_matrix, wheel_braid
 from foxabf.coloring import coloring_group
 from foxabf.ring import LaurentPoly, Matrix, divide_exact, normalize_unit, snf
 from foxabf.sequences import IdentityCheck, cheb_S_subst, fib
@@ -35,47 +32,47 @@ DET_EVEN = 3 - T - TI  # det A' for even n
 
 
 def test_identity_braid_two_strands():
-    assert reduced_relation_matrix(BraidWord(2)) == Matrix([[LaurentPoly.zero()]])
+    assert reduced_relation_matrix(burau(BraidWord(2))) == Matrix([[LaurentPoly.zero()]])
     # one strand: its row and column are the whole matrix, leaving 0x0
-    assert reduced_relation_matrix(BraidWord(1)) == Matrix([])
+    assert reduced_relation_matrix(burau(BraidWord(1))) == Matrix([])
 
 
 def test_wheel_two_drop_middle_det():
-    m = reduced_relation_matrix(wheel_braid(2), drop_index=2)
+    m = reduced_relation_matrix(burau(wheel_braid(2)), drop_index=2)
     assert normalize_unit(m.det()) == normalize_unit(DET_EVEN)
 
 
 def test_wheel_one_det_is_unit():
-    det = reduced_relation_matrix(wheel_braid(1)).det()
+    det = reduced_relation_matrix(burau(wheel_braid(1))).det()
     assert det.is_unit()
 
 
 def test_drop_index_validation():
     with pytest.raises(ValueError):
-        reduced_relation_matrix(wheel_braid(1), drop_index=5)
+        reduced_relation_matrix(burau(wheel_braid(1)), drop_index=5)
 
 
 # -- Alexander polynomial ---------------------------------------------------------
 
 
 def test_alexander_unknot():
-    assert alexander_polynomial(wheel_braid(1)) == ONE
-    assert alexander_polynomial(parse_braid("1", strands=2)) == ONE
+    assert general_presentation(wheel_braid(1)).alexander == ONE
+    assert general_presentation(parse_braid("1", strands=2)).alexander == ONE
 
 
 def test_alexander_figure_eight():
-    assert alexander_polynomial(wheel_braid(2)) == LaurentPoly({0: 1, 1: -3, 2: 1})
+    assert general_presentation(wheel_braid(2)).alexander == LaurentPoly({0: 1, 1: -3, 2: 1})
 
 
 def test_alexander_wheel_three():
     # normalized (2 - t - t^-1)^2 = t^-2 * (1 - 2t + t^2)^2
     expected = normalize_unit((2 - T - TI) * (2 - T - TI))
     assert expected == LaurentPoly({0: 1, 1: -4, 2: 6, 3: -4, 4: 1})
-    assert alexander_polynomial(wheel_braid(3)) == expected
+    assert general_presentation(wheel_braid(3)).alexander == expected
 
 
 def test_alexander_split_unlink():
-    assert alexander_polynomial(parse_braid("1 -1")) == LaurentPoly.zero()
+    assert general_presentation(parse_braid("1 -1")).alexander == LaurentPoly.zero()
 
 
 def test_general_presentation_has_no_gens():
@@ -112,14 +109,14 @@ def words_using_every_generator(draw):
 def test_word_without_a_generator_has_a_singular_bareiss_matrix(word, data):
     absent = data.draw(st.integers(1, word.strands - 1))
     split = BraidWord(word.strands, tuple(l for l in word.letters if abs(l) != absent))
-    assert reduced_relation_matrix(split).det() == 0
+    assert reduced_relation_matrix(burau(split)).det() == 0
     assert general_presentation(split).alexander == LaurentPoly.zero()
 
 
 @SPLIT_SETTINGS
 @given(words_using_every_generator())
 def test_word_using_every_generator_gets_the_bareiss_alexander(word):
-    det = reduced_relation_matrix(word).det()
+    det = reduced_relation_matrix(burau(word)).det()
     expected = normalize_unit(det) if det else LaurentPoly.zero()
     assert general_presentation(word).alexander == expected
 
@@ -167,7 +164,7 @@ def test_routes_agree_entrywise():
 
 
 def test_route_inputs_validated():
-    for fn in (wheel_abf_matrix_recursive, wheel_abf_matrix_closed, wheel_euclidean_reduction, wheel_module):
+    for fn in (wheel_abf_matrix_recursive, wheel_abf_matrix_closed, wheel_module):
         with pytest.raises(ValueError):
             fn(0)
 
@@ -185,7 +182,7 @@ def test_collected_odd_forms():
 def test_det_matches_burau_route():
     for n in range(1, 16):
         closed = normalize_unit(wheel_abf_matrix_closed(n).det())
-        via_burau = normalize_unit(wheel_reduced_burau_matrix(n).det())
+        via_burau = normalize_unit(reduced_relation_matrix(burau(wheel_braid(n)), 2).det())
         assert closed == via_burau, n
 
 
@@ -270,7 +267,7 @@ def test_closed_matrix_is_minus_g_times_a_prime():
 def test_reduction_odd_case():
     for k in range(0, 26):
         n = 2 * k + 1
-        gens, det_a_prime = wheel_euclidean_reduction(n)
+        _, gens, det_a_prime = wheel_module(n)
         expected = normalize_unit(cheb_S_subst(k - 1) + cheb_S_subst(k))
         assert det_a_prime == ONE
         assert gens == (expected, expected)
@@ -279,14 +276,14 @@ def test_reduction_odd_case():
 def test_reduction_even_case():
     for k in range(1, 26):
         n = 2 * k
-        gens, det_a_prime = wheel_euclidean_reduction(n)
+        _, gens, det_a_prime = wheel_module(n)
         g = cheb_S_subst(k - 1)
         assert det_a_prime == DET_EVEN
         assert gens == (normalize_unit(g), normalize_unit(DET_EVEN * g))
 
 
 def test_reduction_unknot():
-    gens, det_a_prime = wheel_euclidean_reduction(1)
+    _, gens, det_a_prime = wheel_module(1)
     assert gens == (ONE, ONE)
     assert det_a_prime == ONE
 
@@ -302,12 +299,12 @@ def test_descent_rejects_a_perturbed_g(n, monkeypatch):
         InternalConsistencyError,
         match=fr"^Euclidean descent did not reach \(1, 0\) for n = {n}$",
     ):
-        wheel_euclidean_reduction(n)
+        wheel_module(n)
 
 
 def test_det_a_prime_closed_forms_to_100():
     for n in range(1, 102):
-        _, det_a_prime = wheel_euclidean_reduction(n)
+        det_a_prime = wheel_module(n).det_a_prime
         assert det_a_prime == (ONE if n % 2 else DET_EVEN), n
 
 

@@ -17,6 +17,7 @@ from foxabf.braid import (
     exponent_sum,
     parse_braid,
     permutation,
+    reduced_relation_matrix,
     wheel_braid,
 )
 from foxabf.ring import LaurentPoly, Matrix
@@ -227,11 +228,18 @@ def test_alternating_null_vector_at_minus_one():
 
 
 def test_burau_int_path_matches_polynomial_path():
+    def at_minus_one(matrix):
+        return Matrix([[p.at_minus_one() for p in row] for row in matrix.entries()])
+
     rng = random.Random(76)
     for _ in range(30):
         word = random_word(rng, max_len=12)
-        specialized = [[p.at_minus_one() for p in row] for row in burau(word).entries()]
-        assert burau_at_minus_one(word) == Matrix(specialized)
+        product, product_at = burau(word), burau_at_minus_one(word)
+        assert product_at == at_minus_one(product)
+        # the one reduced-matrix builder commutes with t -> -1 for every drop
+        for d in (None, *range(1, word.strands + 1)):
+            reduced = reduced_relation_matrix(product, d)
+            assert reduced_relation_matrix(product_at, d) == at_minus_one(reduced), (word, d)
 
 
 def test_word_inverse_and_concat():

@@ -14,8 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy.polys.matrices import DomainMatrix
 
-from foxabf.alexander import alexander_polynomial, wheel_module
-from foxabf.braid import BraidWord, closure_components, reduced_relation_matrix
+from foxabf.alexander import general_presentation, wheel_module
+from foxabf.braid import BraidWord, burau, closure_components, reduced_relation_matrix
 from foxabf.coloring import coloring_group
 from foxabf.ring import AbelianGroup, LaurentPoly, Matrix, normalize_unit, snf
 from foxabf.verify import random_word
@@ -34,23 +34,23 @@ def test_torus_coloring_groups():
 
 
 def test_trefoil_alexander():
-    assert alexander_polynomial(torus_word(3)) == LaurentPoly({0: 1, 1: -1, 2: 1})
+    assert general_presentation(torus_word(3)).alexander == LaurentPoly({0: 1, 1: -1, 2: 1})
 
 
 def test_cinquefoil_alexander():
-    assert alexander_polynomial(torus_word(5)) == LaurentPoly(
+    assert general_presentation(torus_word(5)).alexander == LaurentPoly(
         {0: 1, 1: -1, 2: 1, 3: -1, 4: 1}
     )
 
 
 def test_hopf_link_alexander():
-    assert alexander_polynomial(torus_word(2)) == LaurentPoly({0: 1, 1: -1})
+    assert general_presentation(torus_word(2)).alexander == LaurentPoly({0: 1, 1: -1})
 
 
 def test_torus_alexander_general_shape():
     # 1 - t + t^2 - ... +- t^(n-1), so the determinant |eval(-1)| equals n
     for n in range(2, 10):
-        poly = alexander_polynomial(torus_word(n))
+        poly = general_presentation(torus_word(n)).alexander
         assert poly == LaurentPoly({e: (-1) ** e for e in range(n)})
         assert abs(poly.at_minus_one()) == n
 
@@ -66,7 +66,9 @@ def test_alexander_drop_index_invariance():
             rng.choice((1, -1)) * rng.randint(1, strands - 1) for _ in range(length)
         )
         word = BraidWord(strands, letters)
-        dets = [reduced_relation_matrix(word, drop_index=d).det() for d in range(1, strands + 1)]
+        dets = [
+            reduced_relation_matrix(burau(word), drop_index=d).det() for d in range(1, strands + 1)
+        ]
         if any(d.is_zero for d in dets):
             assert all(d.is_zero for d in dets)
         else:
@@ -127,9 +129,10 @@ def markov_words(seed, count=120):
 
 
 def assert_same_invariants(word, moved):
-    # alexander_polynomial is the canonical associate: equal means equal up to units
+    # the Alexander polynomial is the canonical associate: equal means equal up to units
     assert coloring_group(moved).group == coloring_group(word).group, (word, moved)
-    assert alexander_polynomial(moved) == alexander_polynomial(word), (word, moved)
+    moved_alexander = general_presentation(moved).alexander
+    assert moved_alexander == general_presentation(word).alexander, (word, moved)
 
 
 def test_markov_conjugation_by_a_letter():
@@ -188,7 +191,7 @@ def classical_words():
     with its Alexander polynomial."""
     rng = random.Random(4242)
     words = [random_word(rng, max_strands=7, max_len=24) for _ in range(600)]
-    return [(word, alexander_polynomial(word)) for word in words]
+    return [(word, general_presentation(word).alexander) for word in words]
 
 
 def test_alexander_at_minus_one_is_the_coloring_group_order(classical_words):
@@ -298,7 +301,7 @@ def test_alexander_against_reduced_burau_oracle():
     for _ in range(40):
         word = random_word(rng)
         expected = up_to_units_and_inversion(burau_alexander(word.strands, word.letters))
-        got = up_to_units_and_inversion(foxabf_coefficients(alexander_polynomial(word)))
+        got = up_to_units_and_inversion(foxabf_coefficients(general_presentation(word).alexander))
         assert got == expected, word
 
 

@@ -1,6 +1,7 @@
 """CLI behavior: outputs, exit codes, and deterministic JSON."""
 
 import argparse
+import importlib
 import json
 import random
 import subprocess
@@ -609,6 +610,21 @@ def test_help_prints_usage_and_exits_0(argv, capsys):
             assert f"\n  {command} " in captured.out
     else:
         assert usage.startswith(f"usage: foxabf {argv[0]} [-h] ")
+
+
+def test_console_script_resolves_to_cli_main(capsys):
+    # the installed `foxabf` command is pyproject's [project.scripts] entry;
+    # tomllib is 3.11+, and pyproject admits 3.10
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    target = tomllib.loads(pyproject.read_text())["project"]["scripts"]["foxabf"]
+    module_name, _, attr = target.partition(":")
+    entry = getattr(importlib.import_module(module_name), attr)
+    assert entry is cli.main
+    with pytest.raises(SystemExit) as info:
+        entry(["--help"])
+    assert info.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: foxabf ")
 
 
 def test_cli_request_imports_no_argument_parsing_machinery():

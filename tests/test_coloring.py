@@ -8,7 +8,13 @@ import time
 import pytest
 
 from foxabf import coloring
-from foxabf.braid import BraidWord, parse_braid, reduced_relation_matrix, wheel_braid
+from foxabf.braid import (
+    BraidWord,
+    burau_at_minus_one,
+    parse_braid,
+    reduced_relation_matrix,
+    wheel_braid,
+)
 from foxabf.coloring import (
     EnumerationLimitError,
     brute_force_coloring_count,
@@ -40,31 +46,31 @@ def fibonacci_presentation(n):
 
 
 def test_identity_braid_two_strands():
-    m = reduced_relation_matrix(BraidWord(2), at_minus_one=True)
+    m = reduced_relation_matrix(burau_at_minus_one(BraidWord(2)))
     assert m == Matrix([[0]])
 
 
 def test_identity_braid_one_strand():
-    m = reduced_relation_matrix(BraidWord(1), at_minus_one=True)
+    m = reduced_relation_matrix(burau_at_minus_one(BraidWord(1)))
     assert m.rows == 0 and m.cols == 0
 
 
 def test_wheel_two_det_five():
-    m = reduced_relation_matrix(wheel_braid(2), at_minus_one=True)
+    m = reduced_relation_matrix(burau_at_minus_one(wheel_braid(2)))
     assert m.rows == 2 and abs(m.det()) == 5
 
 
 def test_drop_middle_matches_fibonacci_presentation():
     for n in range(1, 13):
-        reduced = reduced_relation_matrix(wheel_braid(n), drop_index=2, at_minus_one=True)
+        reduced = reduced_relation_matrix(burau_at_minus_one(wheel_braid(n)), drop_index=2)
         assert snf(reduced) == snf(fibonacci_presentation(n))
 
 
 def test_drop_index_out_of_range():
     with pytest.raises(ValueError):
-        reduced_relation_matrix(wheel_braid(2), drop_index=4, at_minus_one=True)
+        reduced_relation_matrix(burau_at_minus_one(wheel_braid(2)), drop_index=4)
     with pytest.raises(ValueError):
-        reduced_relation_matrix(wheel_braid(2), drop_index=0, at_minus_one=True)
+        reduced_relation_matrix(burau_at_minus_one(wheel_braid(2)), drop_index=0)
 
 
 # -- coloring groups ----------------------------------------------------------
@@ -201,7 +207,7 @@ def test_snf_of_a_long_word_is_fast():
     group = coloring_group(words[3]).group
     assert time.perf_counter() - start < 1.0
     assert group == AbelianGroup(torsion=(2,) * 5 + (6, 225531367093067280))
-    det = reduced_relation_matrix(words[3], at_minus_one=True).det()
+    det = reduced_relation_matrix(burau_at_minus_one(words[3])).det()
     assert group.order() == abs(det) == 43302022481868917760
 
 
@@ -237,7 +243,7 @@ def test_snf_blow_up_word_within_one_second(seed, strands, index):
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
-    det = reduced_relation_matrix(word, at_minus_one=True).det()
+    det = reduced_relation_matrix(burau_at_minus_one(word)).det()
     assert group.order() == abs(det)
 
 

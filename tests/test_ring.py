@@ -6,7 +6,7 @@ import random
 import pytest
 
 from foxabf import ring
-from foxabf.braid import BraidWord, reduced_relation_matrix
+from foxabf.braid import BraidWord, burau, burau_at_minus_one, reduced_relation_matrix
 from foxabf.ring import (
     AbelianGroup,
     InexactDivisionError,
@@ -368,7 +368,7 @@ def _det_dividing_by_one(rows):
 def test_bareiss_skips_the_division_by_the_initial_pivot(monkeypatch):
     rng = random.Random(11)  # a 24-strand, 80-letter word with nonzero determinant
     word = BraidWord(24, tuple(rng.choice((1, -1)) * rng.randint(1, 23) for _ in range(80)))
-    m = reduced_relation_matrix(word)
+    m = reduced_relation_matrix(burau(word))
     original = ring.divide_exact
     divisors = []
     monkeypatch.setattr(ring, "divide_exact", lambda a, b: divisors.append(b) or original(a, b))
@@ -626,7 +626,7 @@ def test_snf_matches_sympy_on_braid_matrices(sp):
     singular = 0
     for strands, length in shapes:
         letters = tuple(rng.choice((1, -1)) * rng.randint(1, strands - 1) for _ in range(length))
-        m = reduced_relation_matrix(BraidWord(strands, letters), at_minus_one=True)
+        m = reduced_relation_matrix(burau_at_minus_one(BraidWord(strands, letters)))
         expected = [abs(int(d)) for d in invariant_factors(sp.Matrix(m.entries())) if d]
         factors = smith_invariant_factors(m)
         assert factors == expected, (strands, letters)
