@@ -44,11 +44,14 @@ wheel_module builds -A'_n, replays the column operations that bring the
 first row to (g_{n+1}, g_{n-1}), and runs the Euclidean descent: n//2 - 1
 steps of the Chebyshev recurrence col1, col2 <- col2, z*col2 - col1, then
 one cleanup (col1 -= u*col2, swap) that takes the first row from (u, 1) to
-(1, 0).  The result is the cyclic decomposition with ideal generators
-(g_n, det(A'_n) * g_n), whose normalized product is the Alexander
-polynomial: det A_n = g_n^2 * det(A'_n) in any commutative ring, so
-wheel_module builds no A_n; wheel.cross_verify builds it once and checks
-that A_n at t = -1 presents the Fox group.
+(1, 0).  A step multiplies each row by M = [[0, -1], [1, z]].  After the
+replay the second row is the first times N = [[1-t, -t], [t, -t^2]], and
+N = (1-t)*Id + t*M (since (1-t) + t*z = -t^2) commutes with M, so only the
+first row descends and the second is its end times N.  The result is the
+cyclic decomposition with ideal generators (g_n, det(A'_n) * g_n), whose
+normalized product is the Alexander polynomial: det A_n = g_n^2 * det(A'_n)
+in any commutative ring, so wheel_module builds no A_n; wheel.cross_verify
+builds it once and checks that A_n at t = -1 presents the Fox group.
 """
 
 from __future__ import annotations
@@ -137,6 +140,11 @@ def _wheel_matrix(p: LaurentPoly, q: LaurentPoly) -> Matrix:
     return Matrix([[-p - q.shift(-1), q.shift(-1)], [p.shift(1), -p - q.shift(1)]])
 
 
+def _times_n(a: LaurentPoly, b: LaurentPoly) -> tuple[LaurentPoly, LaurentPoly]:
+    """The row (a, b) times N = [[1 - t, -t], [t, -t^2]]."""
+    return a - a.shift(1) + b.shift(1), -a.shift(1) - b.shift(2)
+
+
 def wheel_abf_matrix_closed(n: int) -> Matrix:
     """Wheel presentation from the Chebyshev closed form,
     A_n = W(g_n*g_{n+1}, g_n*g_{n-1})."""
@@ -144,6 +152,30 @@ def wheel_abf_matrix_closed(n: int) -> Matrix:
         raise ValueError("the wheel family starts at n = 1")
     g = wheel_g(n)
     return _wheel_matrix(g * wheel_g(n + 1), g * wheel_g(n - 1))
+
+
+def _descend(neg_aprime: Matrix, n: int) -> tuple[tuple, tuple]:
+    """The columns of -A'_n after the column replay and the n//2 - 1
+    descent steps, before the cleanup."""
+    # column replay on -A'_n: col1 <- -(col1 + col2) takes the first row
+    # to (g_{n+1}, t^-1 g_{n-1}), col2 *= t then to (g_{n+1}, g_{n-1});
+    # the second row is then the first times N
+    (p, q), (r, s) = neg_aprime.entries()
+    x1, x2 = -(p + q), q.shift(1)
+    if (-(r + s), s.shift(1)) != _times_n(x1, x2):
+        raise InternalConsistencyError(
+            f"second row of -A'_n is not the first row times N at n = {n}"
+        )
+
+    # a step col1, col2 <- col2, z*col2 - col1 takes a first row
+    # (S_j, S_{j-1}) to (S_{j-1}, S_{j-2}), and a sum of two such rows
+    # alike; n//2 - 1 steps end at (z, 1) for odd n >= 3 and (1 + z, 1) for
+    # even n (n = 1 starts at (1, 0)).  N commutes with every step, so the
+    # second row is the first row's end times N
+    for _ in range(n // 2 - 1):
+        x1, x2 = x2, Z_OF_T * x2 - x1
+    y1, y2 = _times_n(x1, x2)
+    return (x1, y1), (x2, y2)
 
 
 def wheel_module(n: int) -> WheelModule:
@@ -155,24 +187,17 @@ def wheel_module(n: int) -> WheelModule:
     A'_n = A_n / (-g_n), 1 for odd n and 3 - t - t^{-1} for even n (that
     of -A'_n, the same for a 2x2); the Alexander polynomial is the
     generators' normalized product.
+
+    The descent runs on the first row only: the second row is checked once
+    to be the first times N, which commutes with every descent step, and
+    is rebuilt from the first row's end.
     """
     if n < 1:
         raise ValueError("the wheel family starts at n = 1")
     neg_aprime = _wheel_matrix(wheel_g(n + 1), wheel_g(n - 1))
     det_a_prime = neg_aprime.det()
 
-    # column replay on -A'_n, col = [top, bottom]: col1 <- -(col1 + col2)
-    # takes the first row to (g_{n+1}, t^-1 g_{n-1}), col2 *= t then to
-    # (g_{n+1}, g_{n-1})
-    (p, q), (r, s) = neg_aprime.entries()
-    col1, col2 = [-(p + q), -(r + s)], [q.shift(1), s.shift(1)]
-
-    # a step col1, col2 <- col2, z*col2 - col1 takes a first row
-    # (S_j, S_{j-1}) to (S_{j-1}, S_{j-2}), and a sum of two such rows
-    # alike; n//2 - 1 steps end at (z, 1) for odd n >= 3 and (1 + z, 1) for
-    # even n (n = 1 starts at (1, 0))
-    for _ in range(n // 2 - 1):
-        col1, col2 = col2, [Z_OF_T * b - a for a, b in zip(col1, col2)]
+    col1, col2 = _descend(neg_aprime, n)
     if col2[0] == _ONE:
         # cleanup: (u, 1) -> (0, 1) -> swap -> (1, 0)
         u = col1[0]

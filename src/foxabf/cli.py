@@ -4,7 +4,8 @@ Subcommands: colorgroup, abf, wheel, verify, table.  Output is text by
 default; --format json emits a deterministic document (stable key order,
 canonical polynomial strings, big integers as decimal strings) that
 round-trips byte-identically through json.loads/render_json.  Exit codes:
-0 success, 1 verification failure, 2 usage or parse error.
+0 success, 1 verification failure (a route disagreed, or an internal
+consistency check failed: one stderr line names it), 2 usage or parse error.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import re
 import sys
 from types import SimpleNamespace
 
-from .alexander import general_presentation, wheel_module
+from .alexander import InternalConsistencyError, general_presentation, wheel_module
 from .braid import _LETTER, BraidParseError, _echo, parse_braid
 from .coloring import EnumerationLimitError, coloring_group
 from .ring import AbelianGroup, Matrix
@@ -452,6 +453,10 @@ def main(argv: list[str] | None = None) -> int:
         prog = "foxabf" if command is None else f"foxabf {command}"
         sys.stderr.write(f"{_usage(command)}\n{prog}: error: {exc}\n")
         raise SystemExit(2) from None
+    except InternalConsistencyError as exc:
+        # only a handler raises it, before it prints anything
+        sys.stderr.write(f"foxabf {command}: error: internal consistency check failed: {exc}\n")
+        return 1
 
 
 if __name__ == "__main__":

@@ -302,6 +302,43 @@ def test_descent_rejects_a_perturbed_g(n, monkeypatch):
         wheel_module(n)
 
 
+@pytest.mark.parametrize("column", [0, 1])
+@pytest.mark.parametrize("n", [4, 9, 30])
+def test_descent_rejects_a_second_row_that_is_not_the_first_times_n(n, column, monkeypatch):
+    # only the first row descends, so the second row must be checked to be
+    # the first times N before it is read off the first row's end
+    exact = alexander._wheel_matrix
+
+    def corrupted(p, q):
+        (a, b), second = exact(p, q).entries()
+        second = tuple(e + (1 if j == column else 0) for j, e in enumerate(second))
+        return Matrix([(a, b), second])
+
+    monkeypatch.setattr(alexander, "_wheel_matrix", corrupted)
+    with pytest.raises(
+        InternalConsistencyError,
+        match=fr"^second row of -A'_n is not the first row times N at n = {n}$",
+    ):
+        wheel_module(n)
+
+
+def two_row_descent(neg_aprime, n):
+    """The descent as it ran on both rows of -A'_n: the column replay, then
+    n//2 - 1 steps col1, col2 <- col2, z*col2 - col1 on whole columns."""
+    z = 1 - T - TI
+    (p, q), (r, s) = neg_aprime.entries()
+    col1, col2 = [-(p + q), -(r + s)], [q.shift(1), s.shift(1)]
+    for _ in range(n // 2 - 1):
+        col1, col2 = col2, [z * b - a for a, b in zip(col1, col2)]
+    return tuple(col1), tuple(col2)
+
+
+def test_one_row_descent_ends_where_the_two_row_descent_does():
+    for n in [*range(1, 61), 100, 171, 270]:
+        neg_aprime = alexander._wheel_matrix(wheel_g(n + 1), wheel_g(n - 1))
+        assert alexander._descend(neg_aprime, n) == two_row_descent(neg_aprime, n), n
+
+
 def test_det_a_prime_closed_forms_to_100():
     for n in range(1, 102):
         det_a_prime = wheel_module(n).det_a_prime

@@ -311,6 +311,28 @@ def test_verify_reports_failure(capsys, monkeypatch):
     assert "m=1, n=2" in out
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["wheel", "9"],
+        ["wheel", "9", "--format", "json"],
+        ["table", "--from", "8", "--to", "10"],
+        ["table", "--from", "8", "--to", "10", "--format", "csv"],
+    ],
+)
+def test_failed_internal_check_is_named_on_one_stderr_line(argv, capsys, monkeypatch):
+    # g_10 off by 1 leaves n = 9's first row off the Chebyshev pairs
+    exact = alexander.wheel_g
+    monkeypatch.setattr(alexander, "wheel_g", lambda m: exact(m) + (1 if m == 10 else 0))
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"foxabf {argv[0]}: error: internal consistency check failed: "
+        "Euclidean descent did not reach (1, 0) for n = 9\n"
+    )
+
+
 # -- table ----------------------------------------------------------------------------
 
 
