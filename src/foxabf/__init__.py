@@ -8,7 +8,6 @@ from .alexander import (
     WheelModule,
     general_presentation,
     wheel_abf_matrix_closed,
-    wheel_abf_matrix_recursive,
     wheel_g,
     wheel_module,
 )
@@ -17,11 +16,8 @@ from .braid import (
     BraidWord,
     burau,
     burau_at_minus_one,
-    closure_components,
-    cycle_count,
     exponent_sum,
     parse_braid,
-    permutation,
     wheel_braid,
 )
 from .coloring import (
@@ -60,7 +56,6 @@ from .wheel import (
     fibonacci_relation_matrix,
     fox_closed_form,
     goeritz_equivalence_check,
-    reduction_trace,
 )
 
 __version__ = "0.1.0"
@@ -87,11 +82,9 @@ __all__ = [
     "cheb_S_at",
     "cheb_S_subst",
     "cheb_T",
-    "closure_components",
     "coloring_count_from_group",
     "coloring_group",
     "cross_verify",
-    "cycle_count",
     "divide_exact",
     "exponent_sum",
     "fib",
@@ -104,13 +97,10 @@ __all__ = [
     "lucas",
     "normalize_unit",
     "parse_braid",
-    "permutation",
-    "reduction_trace",
     "smith_invariant_factors",
     "snf",
     "solve_chebyshev_recurrence",
     "wheel_abf_matrix_closed",
-    "wheel_abf_matrix_recursive",
     "wheel_braid",
     "wheel_g",
     "wheel_module",

@@ -124,16 +124,6 @@ def _wheel_recursion(max_n: int):
         yield Matrix([p, q])
 
 
-def wheel_abf_matrix_recursive(n: int) -> Matrix:
-    """Wheel presentation [[P^a_n, P^c_n], [Q^a_n, Q^c_n]] by iterating the
-    pair recursion from the identity braid."""
-    if n < 1:
-        raise ValueError("the wheel family starts at n = 1")
-    for matrix in _wheel_recursion(n):
-        pass
-    return matrix
-
-
 def _wheel_matrix(p: LaurentPoly, q: LaurentPoly) -> Matrix:
     """W(p, q) = [[-p - t^{-1}*q, t^{-1}*q], [t*p, -p - t*q]], the one
     formula behind A_n and -A'_n."""

@@ -271,37 +271,5 @@ def reduced_relation_matrix(product: Matrix, drop_index: int | None = None) -> M
     )
 
 
-def permutation(word: BraidWord) -> tuple[int, ...]:
-    """Underlying permutation: entry i-1 is the bottom position of the
-    strand entering at top position i (1-based values)."""
-    state = list(range(word.strands))  # state[p] = strand currently at position p
-    for letter in word.letters:
-        i = abs(letter) - 1
-        state[i], state[i + 1] = state[i + 1], state[i]
-    image = [0] * word.strands
-    for pos, strand in enumerate(state):
-        image[strand] = pos + 1
-    return tuple(image)
-
-
-def cycle_count(perm: tuple[int, ...]) -> int:
-    seen = [False] * len(perm)
-    cycles = 0
-    for start in range(len(perm)):
-        if seen[start]:
-            continue
-        cycles += 1
-        cur = start
-        while not seen[cur]:
-            seen[cur] = True
-            cur = perm[cur] - 1
-    return cycles
-
-
-def closure_components(word: BraidWord) -> int:
-    """Number of link components of the braid closure."""
-    return cycle_count(permutation(word))
-
-
 def exponent_sum(word: BraidWord) -> int:
     return sum(1 if letter > 0 else -1 for letter in word.letters)

@@ -100,12 +100,6 @@ class LaurentPoly:
             raise ValueError("zero polynomial has no exponents")
         return self._lo
 
-    @property
-    def max_exp(self) -> int:
-        if not self._coeffs:
-            raise ValueError("zero polynomial has no exponents")
-        return self._lo + len(self._coeffs) - 1
-
     def coeff(self, exp: int) -> int:
         i = exp - self._lo
         return self._coeffs[i] if 0 <= i < len(self._coeffs) else 0
@@ -113,10 +107,6 @@ class LaurentPoly:
     def terms(self) -> tuple[tuple[int, int], ...]:
         """Terms as (exponent, coefficient) pairs in increasing exponent."""
         return tuple((e, c) for e, c in enumerate(self._coeffs, self._lo) if c)
-
-    def is_unit(self) -> bool:
-        """True for +/- t^k, the units of Z[t^(+/-1)]."""
-        return len(self._coeffs) == 1 and abs(self._coeffs[0]) == 1
 
     # -- arithmetic ---------------------------------------------------
 
@@ -477,10 +467,6 @@ class AbelianGroup(namedtuple("AbelianGroup", "torsion free_rank")):
             if b % a:
                 raise ValueError(f"broken divisibility chain: {a} does not divide {b}")
         return self
-
-    @property
-    def is_trivial(self) -> bool:
-        return not self.torsion and self.free_rank == 0
 
     def torsion_order(self) -> int:
         order = 1

@@ -106,6 +106,16 @@ def cheb_S_subst(n: int) -> LaurentPoly:
     return _CHEB_S_SUBST.s(n)
 
 
+def _recurrence_terms(cs: Sequence, n: int) -> tuple:
+    """cs as a tuple, checked to hold the n - 1 terms c_2..c_n (n >= 0)."""
+    if n < 0:
+        raise ValueError("n must be non-negative")
+    cs = tuple(cs)
+    if len(cs) != max(0, n - 1):
+        raise ValueError(f"need exactly {max(0, n - 1)} inhomogeneous terms c_2..c_n")
+    return cs
+
+
 def solve_chebyshev_recurrence(p0, p1, cs: Sequence, z, n: int):
     """Closed form for P_k = z*P_{k-1} - P_{k-2} + c_k.
 
@@ -114,11 +124,7 @@ def solve_chebyshev_recurrence(p0, p1, cs: Sequence, z, n: int):
     direct iteration (see iterate_chebyshev_recurrence).  Works over any
     commutative ring whose elements support +, -, * (ints, LaurentPoly).
     """
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    cs = tuple(cs)
-    if len(cs) != max(0, n - 1):
-        raise ValueError(f"need exactly {max(0, n - 1)} inhomogeneous terms c_2..c_n")
+    cs = _recurrence_terms(cs, n)
     if n == 0:
         return p0
     if n == 1:
@@ -133,11 +139,7 @@ def solve_chebyshev_recurrence(p0, p1, cs: Sequence, z, n: int):
 
 def iterate_chebyshev_recurrence(p0, p1, cs: Sequence, z, n: int):
     """P_n by direct iteration; the independent check of the closed form."""
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    cs = tuple(cs)
-    if len(cs) != max(0, n - 1):
-        raise ValueError(f"need exactly {max(0, n - 1)} inhomogeneous terms c_2..c_n")
+    cs = _recurrence_terms(cs, n)
     if n == 0:
         return p0
     prev, cur = p0, p1

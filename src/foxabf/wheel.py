@@ -4,11 +4,10 @@ cross-verification combining every route.
 The closure of (sigma_1 sigma_2^{-1})^n has reduced coloring group
 Z_{L_n} (+) Z_{L_n} for odd n and Z_{F_n} (+) Z_{5 F_n} for even n.  The
 Fibonacci route presents it by the 2x2 matrix
-[[F_{2n}, F_{2n-1}-1], [F_{2n+1}-1, F_{2n}]] and reduces it by an
-alternating pair of column operations; reduction_trace replays that exact
-operation sequence.  goeritz_equivalence_check compares against the
-independently derived Goeritz presentation built from S_k(3), and
-cross_verify also reads the closed-form ABF matrix A_n at t = -1.
+[[F_{2n}, F_{2n-1}-1], [F_{2n+1}-1, F_{2n}]].  goeritz_equivalence_check
+compares its Smith form against the independently derived Goeritz
+presentation built from S_k(3), and cross_verify also reads the
+closed-form ABF matrix A_n at t = -1.
 """
 
 from __future__ import annotations
@@ -66,29 +65,6 @@ def fibonacci_relation_matrix(n: int) -> Matrix:
             [fib(2 * n + 1) - 1, fib(2 * n)],
         ]
     )
-
-
-def reduction_trace(n: int) -> list[Matrix]:
-    """Exact sequence of matrices obtained from the Fibonacci presentation
-    by alternating column operations (col1 -= col2, then col2 -= col1).
-
-    For odd n the trace ends after n+1 operations at the upper-triangular
-    matrix [[L_n, F_{n-2} - F_{n+2}], [0, L_n]]; for even n it ends after
-    n operations at [[2F_n, -F_n], [F_n, 2F_n]] followed by one extra step
-    (col1 += 2*col2) giving [[0, -F_n], [5F_n, 2F_n]].
-    """
-    trace = [fibonacci_relation_matrix(n)]
-    steps = n + 1 if n % 2 else n
-    for step in range(1, steps + 1):
-        (a, b), (c, d) = trace[-1].entries()
-        if step % 2:
-            trace.append(Matrix([[a - b, b], [c - d, d]]))
-        else:
-            trace.append(Matrix([[a, b - a], [c, d - c]]))
-    if n % 2 == 0:
-        (a, b), (c, d) = trace[-1].entries()
-        trace.append(Matrix([[a + 2 * b, b], [c + 2 * d, d]]))
-    return trace
 
 
 def goeritz_equivalence_check(n: int) -> bool:

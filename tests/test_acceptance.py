@@ -27,7 +27,8 @@ from foxabf.sequences import (
     lucas,
     solve_chebyshev_recurrence,
 )
-from foxabf.wheel import fox_closed_form, goeritz_equivalence_check, reduction_trace
+from foxabf.wheel import fox_closed_form, goeritz_equivalence_check
+from test_wheel import reduction_trace
 
 T = LaurentPoly.t()
 TI = LaurentPoly.t(-1)

