@@ -45,6 +45,30 @@ def corpus():
     for fmt in ("text", "json"):
         yield ["verify", "--format", fmt]
     yield from seeded_words()
+    yield from REFUSALS_AND_HELP
+
+
+# Usage errors (exit 2, nothing on stdout) and help requests (exit 0).
+REFUSALS_AND_HELP = [
+    ["wheel", "0"],
+    ["wheel", "801"],
+    ["wheel", "3", "--moduli", "1"],
+    ["wheel", "2", "--moduli", "216"],
+    ["table", "--from", "3", "--to", "2"],
+    ["table", "--from", "1", "--to", "251"],
+    ["table", "--from", "1", "--to", "301"],
+    ["table", "--from", "1"],
+    ["verify", "--max-n", "121"],
+    ["verify", "--max-index", "0"],
+    ["colorgroup", "1 x"],
+    ["colorgroup", "1", "--strands", "300"],
+    ["abf", '{"letters": [1], "extra": 2}'],
+    ["frob"],
+    [],
+    ["-h"],
+    ["wheel", "-h"],
+    ["--format=json"],
+]
 
 
 CORPUS = list(corpus())

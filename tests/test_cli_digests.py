@@ -2,8 +2,9 @@
 
 record_cli_digests.py holds the corpus (wheel indices 1-40, 100, 171 and
 270 with brute force mod 2, 3 and 5, table 1-60 in every format, verify,
-and 240 seeded colorgroup/abf words) and wrote cli_digests.json; a change
-that must keep stdout, stderr and the exit code leaves this test passing.
+240 seeded colorgroup/abf words, and 18 refusals and help requests) and
+wrote cli_digests.json; a change that must keep stdout, stderr and the
+exit code leaves this test passing.
 """
 
 from record_cli_digests import CORPUS, answer, recorded
