@@ -1,11 +1,13 @@
 """Command-line interface.
 
-Subcommands: colorgroup, abf, wheel, verify, table.  Output is text by
+Subcommands: colorgroup, abf, wheel, verify, table.  Each handler returns
+its JSON document and text lines, and main prints one of them: text by
 default; --format json emits a deterministic document (stable key order,
 canonical polynomial strings, big integers as decimal strings) that
 round-trips byte-identically through json.loads/render_json.  Exit codes:
 0 success, 1 verification failure (a route disagreed, or an internal
-consistency check failed: one stderr line names it), 2 usage or parse error.
+consistency check failed: one stderr line names it) or a closed stdout,
+2 usage or parse error.
 """
 
 from __future__ import annotations
@@ -50,14 +52,6 @@ def render_json(document: dict) -> str:
     return json.dumps(document, indent=2, ensure_ascii=False)
 
 
-def _emit(document: dict, fmt: str, text_lines: list[str]) -> None:
-    if fmt == "json":
-        print(render_json(document))
-    else:
-        for line in text_lines:
-            print(line)
-
-
 class _UsageError(ValueError):
     """A usage error: main() prints it under the usage line and exits 2."""
 
@@ -73,7 +67,7 @@ def _ascii_int(text: str) -> int:
     raise _UsageError(f"invalid integer {_echo(text)}")
 
 
-def _cmd_colorgroup(args) -> int:
+def _cmd_colorgroup(args) -> tuple[dict, list[str]]:
     word = parse_braid(args.braid, strands=args.strands)
     result = coloring_group(word)
     document = {
@@ -85,16 +79,14 @@ def _cmd_colorgroup(args) -> int:
             "reduced_matrix": _matrix_payload(result.reduced_matrix),
         },
     }
-    lines = [
+    return document, [
         f"braid: {word.as_text() or '(identity)'} on {word.strands} strands",
         f"reduced coloring group: {result.group.describe()}",
         f"determinant: {result.determinant}",
     ]
-    _emit(document, args.format, lines)
-    return 0
 
 
-def _cmd_abf(args) -> int:
+def _cmd_abf(args) -> tuple[dict, list[str]]:
     word = parse_braid(args.braid, strands=args.strands)
     presentation = general_presentation(word)
     document = {
@@ -105,7 +97,7 @@ def _cmd_abf(args) -> int:
             "alexander": str(presentation.alexander),
         },
     }
-    lines = [
+    return document, [
         f"braid: {word.as_text() or '(identity)'} on {word.strands} strands",
         "reduced presentation matrix:",
         *(
@@ -114,11 +106,9 @@ def _cmd_abf(args) -> int:
         ),
         f"alexander polynomial: {presentation.alexander}",
     ]
-    _emit(document, args.format, lines)
-    return 0
 
 
-def _cmd_wheel(args) -> int:
+def _cmd_wheel(args) -> tuple[dict, list[str]]:
     if args.n < 1:
         raise _UsageError("n must be at least 1")
     if args.n > MAX_WHEEL_INDEX:
@@ -168,11 +158,10 @@ def _cmd_wheel(args) -> int:
         )
     lines.append(f"goeritz presentation agrees: {report.goeritz_ok}")
     lines.append(f"all routes consistent: {report.all_consistent}")
-    _emit(document, args.format, lines)
-    return 0 if report.all_consistent else 1
+    return document, lines
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args) -> tuple[dict, list[str]]:
     if args.max_n < 1 or args.max_index < 1:
         raise _UsageError("--max-n and --max-index must be at least 1")
     if args.max_n > MAX_VERIFY_N or args.max_index > MAX_IDENTITY_INDEX:
@@ -209,13 +198,27 @@ def _cmd_verify(args) -> int:
         status = "ok  " if c.passed else "FAIL"
         extra = "" if c.passed else f"  first counterexample: {c.counterexample}"
         lines.append(f"{status} {c.name} ({c.cases} cases){extra}")
-    ok = all(c.passed for c in checks)
-    lines.append("all suites passed" if ok else "verification FAILED")
-    _emit(document, args.format, lines)
-    return 0 if ok else 1
+    lines.append("all suites passed" if document["consistency"] else "verification FAILED")
+    return document, lines
 
 
-def _cmd_table(args) -> int:
+# Each text layout of ``table``: its header lines, then the format of a row.
+# JSON is rendered from the document.
+_TABLE_LAYOUTS = {
+    "text": ["n={n}: {group}; gens ({ideal_gens[0]}, {ideal_gens[1]}); alexander {alexander}"],
+    "csv": [
+        "n,group,ideal_gen_1,ideal_gen_2,alexander",
+        "{n},{group},{ideal_gens[0]},{ideal_gens[1]},{alexander}",
+    ],
+    "markdown": [
+        "| n | group | ideal generators | alexander |",
+        "|---|-------|------------------|-----------|",
+        "| {n} | {group} | {ideal_gens[0]}, {ideal_gens[1]} | {alexander} |",
+    ],
+}
+
+
+def _cmd_table(args) -> tuple[dict, list[str]]:
     if args.from_n < 1 or args.from_n > args.to_n:
         raise _UsageError("need 1 <= --from <= --to")
     if args.to_n > MAX_TABLE_INDEX:
@@ -243,24 +246,8 @@ def _cmd_table(args) -> int:
         "inputs": {"from": args.from_n, "to": args.to_n},
         "results": {"rows": rows},
     }
-    if args.format == "json":
-        print(render_json(document))
-    elif args.format == "csv":
-        print("n,group,ideal_gen_1,ideal_gen_2,alexander")
-        for row in rows:
-            gens = row["ideal_gens"]
-            print(f"{row['n']},{row['group']},{gens[0]},{gens[1]},{row['alexander']}")
-    elif args.format == "markdown":
-        print("| n | group | ideal generators | alexander |")
-        print("|---|-------|------------------|-----------|")
-        for row in rows:
-            gens = ", ".join(row["ideal_gens"])
-            print(f"| {row['n']} | {row['group']} | {gens} | {row['alexander']} |")
-    else:
-        for row in rows:
-            gens = ", ".join(row["ideal_gens"])
-            print(f"n={row['n']}: {row['group']}; gens ({gens}); alexander {row['alexander']}")
-    return 0
+    *header, row_format = _TABLE_LAYOUTS.get(args.format, [""])
+    return document, [*header, *(row_format.format_map(row) for row in rows)]
 
 
 _DESCRIPTION = (
@@ -448,15 +435,26 @@ def main(argv: list[str] | None = None) -> int:
     command = argv[0] if argv and argv[0] in _GRAMMAR else None
     try:
         args = _parse(argv)
-        return _GRAMMAR[command][0](args)
+        document, lines = _GRAMMAR[command][0](args)
     except (_UsageError, BraidParseError, EnumerationLimitError) as exc:
         prog = "foxabf" if command is None else f"foxabf {command}"
         sys.stderr.write(f"{_usage(command)}\n{prog}: error: {exc}\n")
         raise SystemExit(2) from None
     except InternalConsistencyError as exc:
-        # only a handler raises it, before it prints anything
+        # handlers print nothing, so stdout stays empty
         sys.stderr.write(f"foxabf {command}: error: internal consistency check failed: {exc}\n")
         return 1
+    try:
+        print(render_json(document) if args.format == "json" else "\n".join(lines))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout; devnull takes the interpreter's final
+        # flush.  Only this branch needs os, which a request does not load.
+        import os
+
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return 0 if document.get("consistency", True) else 1
 
 
 if __name__ == "__main__":

@@ -3,6 +3,7 @@
 import argparse
 import importlib
 import json
+import os
 import random
 import subprocess
 import sys
@@ -407,6 +408,44 @@ def test_json_round_trip(argv, capsys):
     assert cli.render_json(reparsed) + "\n" == out
 
 
+# -- one output path ------------------------------------------------------------------
+
+# One small request of each subcommand.
+SMALL_REQUESTS = [
+    ["colorgroup", "1 -2 1 -2", "--format", "json"],
+    ["abf", "1 1 1"],
+    ["wheel", "5"],
+    ["verify", "--max-n", "2", "--max-index", "3"],
+    ["table", "--from", "1", "--to", "4", "--format", "csv"],
+]
+
+
+@pytest.mark.parametrize("argv", SMALL_REQUESTS)
+def test_handlers_return_the_answer_and_print_nothing(argv, capsys):
+    # main prints the answer once, so a failing handler leaves no partial stdout
+    document, lines = cli._GRAMMAR[argv[0]][0](cli._parse(argv))
+    assert capsys.readouterr() == ("", "")
+    assert isinstance(document, dict) and document["command"] == argv[0]
+    assert isinstance(lines, list) and lines and all(isinstance(line, str) for line in lines)
+
+
+@pytest.mark.parametrize("argv", SMALL_REQUESTS)
+def test_closed_stdout_exits_1_with_nothing_on_stderr(argv):
+    # the reader has gone before the answer is written, as in `foxabf ... | head -0`
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    process = subprocess.Popen(
+        [sys.executable, "-S", "-m", "foxabf.cli", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    process.stdout.close()
+    err = process.stderr.read()
+    process.stderr.close()
+    assert process.wait(timeout=60) == 1
+    assert err == b""
+
+
 # -- the command-line grammar ------------------------------------------------------------
 
 
@@ -653,16 +692,18 @@ def test_cli_request_imports_no_argument_parsing_machinery():
     # argparse loads shutil (and with it zlib, bz2, lzma) and gettext (and
     # locale) inside every request; typing came in through ring and sequences,
     # dataclasses (and with it inspect) through every record type, and random
-    # through the check suites that now live in foxabf.verify
+    # through the check suites that now live in foxabf.verify; os only
+    # in the closed-stdout branch of main
     src = Path(cli.__file__).resolve().parents[1]
 
     def fresh_request(argv):
         code = (
-            "import contextlib, io, sys\n"
+            "import io, sys\n"
             f"sys.path.insert(0, {str(src)!r})\n"
             "import foxabf.cli\n"
-            "with contextlib.redirect_stdout(io.StringIO()):\n"
-            f"    assert foxabf.cli.main({argv!r}) == 0\n"
+            "sys.stdout = io.StringIO()\n"
+            f"assert foxabf.cli.main({argv!r}) == 0\n"
+            "sys.stdout = sys.__stdout__\n"
             "print(' '.join(sorted(sys.modules)))\n"
         )
         result = subprocess.run(
@@ -673,7 +714,7 @@ def test_cli_request_imports_no_argument_parsing_machinery():
 
     loaded = fresh_request(["colorgroup", "1", "--format", "json"])
     assert "foxabf.cli" in loaded
-    unwanted = {"argparse", "shutil", "locale", "gettext", "typing", "dataclasses", "inspect"}
+    unwanted = {"argparse", "shutil", "locale", "gettext", "typing", "dataclasses", "inspect", "os"}
     assert not loaded & (unwanted | {"random", "foxabf.verify"})
     # verify imports its suites inside the command, outside pytest's process
     assert "foxabf.verify" in fresh_request(["verify", "--max-n", "2", "--max-index", "2"])
