@@ -10,6 +10,7 @@ from .alexander import (
     wheel_abf_matrix_closed,
     wheel_g,
     wheel_module,
+    wheel_modules,
 )
 from .braid import (
     BraidParseError,
@@ -104,4 +105,5 @@ __all__ = [
     "wheel_braid",
     "wheel_g",
     "wheel_module",
+    "wheel_modules",
 ]

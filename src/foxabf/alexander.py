@@ -47,16 +47,26 @@ one cleanup (col1 -= u*col2, swap) that takes the first row from (u, 1) to
 (1, 0).  A step multiplies each row by M = [[0, -1], [1, z]].  After the
 replay the second row is the first times N = [[1-t, -t], [t, -t^2]], and
 N = (1-t)*Id + t*M (since (1-t) + t*z = -t^2) commutes with M, so only the
-first row descends and the second is its end times N.  The result is the
-cyclic decomposition with ideal generators (g_n, det(A'_n) * g_n), whose
-normalized product is the Alexander polynomial: det A_n = g_n^2 * det(A'_n)
-in any commutative ring, so wheel_module builds no A_n; wheel.cross_verify
-builds it once and checks that A_n at t = -1 presents the Fox group.
+first row descends and the second is its end times N.  The column
+operations have the unit determinants -t (replay), 1 (step) and -1
+(cleanup), so det A'_n is read off the end, diag-like [[1, 0], [*, y]],
+and checked against its closed form; no determinant is taken.  The result
+is the cyclic decomposition with ideal generators (g_n, det(A'_n) * g_n),
+whose normalized product is the Alexander polynomial: det A_n =
+g_n^2 * det(A'_n) in any commutative ring, so no A_n is built.
+
+The descent is the recurrence run backwards, so one step takes row n's
+first row onto row n - 2's: wheel_modules, which serves a table, runs the
+full descent for the lowest row of each parity only and one checked step
+for every row above.  wheel.cross_verify builds A_n once, checks that A_n
+at t = -1 presents the Fox group, and takes the Bareiss det of -A'_n as an
+independent check of det_a_prime.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
+from collections.abc import Iterable, Iterator
 
 from .braid import BraidWord, burau, reduced_relation_matrix
 from .ring import LaurentPoly, Matrix, normalize_unit
@@ -64,6 +74,7 @@ from .sequences import Z_OF_T, cheb_S_subst
 
 _ONE = LaurentPoly.one()
 _ZERO = LaurentPoly.zero()
+_DET_A_PRIME = (Z_OF_T + 2, _ONE)  # det A'_n for even n (3 - t - t^-1) and odd n
 
 
 class InternalConsistencyError(RuntimeError):
@@ -144,28 +155,88 @@ def wheel_abf_matrix_closed(n: int) -> Matrix:
     return _wheel_matrix(g * wheel_g(n + 1), g * wheel_g(n - 1))
 
 
-def _descend(neg_aprime: Matrix, n: int) -> tuple[tuple, tuple]:
-    """The columns of -A'_n after the column replay and the n//2 - 1
-    descent steps, before the cleanup."""
-    # column replay on -A'_n: col1 <- -(col1 + col2) takes the first row
-    # to (g_{n+1}, t^-1 g_{n-1}), col2 *= t then to (g_{n+1}, g_{n-1});
-    # the second row is then the first times N
+def _replay(neg_aprime: Matrix, n: int) -> tuple[LaurentPoly, LaurentPoly]:
+    """The first row of -A'_n after the column replay, (g_{n+1}, g_{n-1});
+    raises unless the second row is then the first times N."""
+    # col1 <- -(col1 + col2) takes the first row to (g_{n+1}, t^-1 g_{n-1}),
+    # col2 *= t then to (g_{n+1}, g_{n-1}): det -1 times det t
     (p, q), (r, s) = neg_aprime.entries()
     x1, x2 = -(p + q), q.shift(1)
     if (-(r + s), s.shift(1)) != _times_n(x1, x2):
         raise InternalConsistencyError(
             f"second row of -A'_n is not the first row times N at n = {n}"
         )
+    return x1, x2
 
-    # a step col1, col2 <- col2, z*col2 - col1 takes a first row
-    # (S_j, S_{j-1}) to (S_{j-1}, S_{j-2}), and a sum of two such rows
-    # alike; n//2 - 1 steps end at (z, 1) for odd n >= 3 and (1 + z, 1) for
-    # even n (n = 1 starts at (1, 0)).  N commutes with every step, so the
-    # second row is the first row's end times N
+
+def _step(x1: LaurentPoly, x2: LaurentPoly) -> tuple[LaurentPoly, LaurentPoly]:
+    """One descent step col1, col2 <- col2, z*col2 - col1 on a first row: a
+    column operation of det 1 that takes (S_j, S_{j-1}) to (S_{j-1}, S_{j-2}),
+    and a sum of two such rows alike."""
+    return x2, Z_OF_T * x2 - x1
+
+
+def _descend(first: tuple[LaurentPoly, LaurentPoly], n: int) -> tuple[tuple, tuple]:
+    """The columns of -A'_n after the replay (first row ``first``) and the
+    n//2 - 1 descent steps, before the cleanup."""
+    # the steps end at (z, 1) for odd n >= 3 and (1 + z, 1) for even n
+    # (n = 1 starts at (1, 0)).  N commutes with every step, so the second
+    # row is the first row's end times N
+    x1, x2 = first
     for _ in range(n // 2 - 1):
-        x1, x2 = x2, Z_OF_T * x2 - x1
+        x1, x2 = _step(x1, x2)
     y1, y2 = _times_n(x1, x2)
     return (x1, y1), (x2, y2)
+
+
+def _descended_det(first: tuple[LaurentPoly, LaurentPoly], n: int) -> LaurentPoly:
+    """det A'_n read off the full descent and the cleanup, checked against
+    the closed form."""
+    (x1, y1), (x2, y2) = _descend(first, n)
+    if (x1, x2) == (_ONE, _ZERO):
+        # n = 1, no cleanup: det [[1, 0], [y1, y2]] = y2 = -t * det A'_n,
+        # the replay's factor
+        det = -y2.shift(-1)
+    elif x2 == _ONE:
+        # the cleanup col1, col2 <- col2, col1 - x1*col2 (det -1) takes
+        # (x1, 1) to (1, 0) and leaves [[1, 0], [y2, y]], y = t * det A'_n
+        det = (y1 - x1 * y2).shift(-1)
+    else:
+        raise InternalConsistencyError(f"Euclidean descent did not reach (1, 0) for n = {n}")
+    if det != _DET_A_PRIME[n % 2]:
+        raise InternalConsistencyError(
+            f"Euclidean reduction of the wheel matrix lost the determinant at n = {n}"
+        )
+    return det
+
+
+def wheel_modules(indices: Iterable[int]) -> Iterator[WheelModule]:
+    """wheel_module(n) for each n of ``indices``, in order.
+
+    Every row builds -A'_n = W(g_{n+1}, g_{n-1}) and replays its columns.
+    One descent step takes the first row (g_{n+1}, g_{n-1}) to
+    (g_{n-1}, g_{n-3}), row n - 2's, so a row that follows row n - 2 takes
+    that one step, must land on row n - 2's first row, and inherits its det
+    A'_n exactly (the step is invertible and has det 1).  Any other row, in
+    a contiguous range the lowest of each parity, runs the full descent.
+    """
+    below = {}  # n -> (replayed first row, det A'_n) of the last two rows
+    for n in indices:
+        if n < 1:
+            raise ValueError("the wheel family starts at n = 1")
+        first = _replay(_wheel_matrix(wheel_g(n + 1), wheel_g(n - 1)), n)
+        if n - 2 in below:
+            first_below, det_a_prime = below.pop(n - 2)
+            if _step(*first) != first_below:
+                raise InternalConsistencyError(
+                    f"Euclidean descent did not reach (1, 0) for n = {n}"
+                )
+        else:
+            det_a_prime = _descended_det(first, n)
+        below[n] = first, det_a_prime
+        g = wheel_g(n)
+        gens = (normalize_unit(g), normalize_unit(det_a_prime * g))
+        yield WheelModule(normalize_unit(gens[0] * gens[1]), gens, det_a_prime)
 
 
 def wheel_module(n: int) -> WheelModule:
@@ -175,34 +246,7 @@ def wheel_module(n: int) -> WheelModule:
     The ideal generators are (g, h) with g = g_n and h = det(A'_n) * g_n,
     both unit-normalized; det_a_prime is the exact determinant of
     A'_n = A_n / (-g_n), 1 for odd n and 3 - t - t^{-1} for even n (that
-    of -A'_n, the same for a 2x2); the Alexander polynomial is the
-    generators' normalized product.
-
-    The descent runs on the first row only: the second row is checked once
-    to be the first times N, which commutes with every descent step, and
-    is rebuilt from the first row's end.
+    of -A'_n, the same for a 2x2), read off the descent's unit factors; the
+    Alexander polynomial is the generators' normalized product.
     """
-    if n < 1:
-        raise ValueError("the wheel family starts at n = 1")
-    neg_aprime = _wheel_matrix(wheel_g(n + 1), wheel_g(n - 1))
-    det_a_prime = neg_aprime.det()
-
-    col1, col2 = _descend(neg_aprime, n)
-    if col2[0] == _ONE:
-        # cleanup: (u, 1) -> (0, 1) -> swap -> (1, 0)
-        u = col1[0]
-        col1, col2 = col2, [a - u * b for a, b in zip(col1, col2)]
-    if (col1[0], col2[0]) != (_ONE, _ZERO):
-        raise InternalConsistencyError(
-            f"Euclidean descent did not reach (1, 0) for n = {n}"
-        )
-
-    # first row is (1, 0); clearing the second row's first entry leaves
-    # diag(1, y) with y = col2[1] an associate of det A'_n
-    if normalize_unit(col2[1]) != normalize_unit(det_a_prime):
-        raise InternalConsistencyError(
-            f"Euclidean reduction of the wheel matrix lost the determinant at n = {n}"
-        )
-    g = wheel_g(n)
-    gens = (normalize_unit(g), normalize_unit(det_a_prime * g))
-    return WheelModule(normalize_unit(gens[0] * gens[1]), gens, det_a_prime)
+    return next(wheel_modules(range(n, n + 1)))

@@ -4,7 +4,8 @@ Subcommands: colorgroup, abf, wheel, verify, table.  Each handler returns
 its JSON document and text lines, and main prints one of them: text by
 default; --format json emits a deterministic document (stable key order,
 canonical polynomial strings, big integers as decimal strings) that
-round-trips byte-identically through json.loads/render_json.  Exit codes:
+round-trips byte-identically through json.loads/render_json.  -h/--help
+hands its text to main, which prints it on the same path.  Exit codes:
 0 success, 1 verification failure (a route disagreed, or an internal
 consistency check failed: one stderr line names it) or a closed stdout,
 2 usage or parse error.
@@ -17,7 +18,7 @@ import re
 import sys
 from types import SimpleNamespace
 
-from .alexander import InternalConsistencyError, general_presentation, wheel_module
+from .alexander import InternalConsistencyError, general_presentation, wheel_modules
 from .braid import _LETTER, BraidParseError, _echo, parse_braid
 from .coloring import EnumerationLimitError, coloring_group
 from .ring import AbelianGroup, Matrix
@@ -25,9 +26,11 @@ from .sequences import identity_suite
 from .wheel import cross_verify, fox_closed_form
 
 # Largest indices the CLI accepts.  Exact wheel arithmetic at index n
-# costs about n^3, a table the sum of n^3 over its rows and verify about
-# max_n^4 (the identity suite about max_index^3); past these bounds one
-# request runs for minutes.
+# costs about n^3, a table at most the sum of n^3 over its rows and verify
+# about max_n^4 (the identity suite about max_index^3); past these bounds
+# one request runs for minutes.  A table's rows above the lowest two take
+# one descent step each and cost less, but MAX_TABLE_CUBES stays as it
+# was, so the same ranges are refused.
 MAX_WHEEL_INDEX = 800
 MAX_TABLE_INDEX = 300
 MAX_TABLE_CUBES = 984_390_625  # sum of n^3 for n = 1..250
@@ -229,18 +232,15 @@ def _cmd_table(args) -> tuple[dict, list[str]]:
         raise _UsageError(
             f"the range's sum of n^3, {cubes}, exceeds the limit of {MAX_TABLE_CUBES}"
         )
-    rows = []
-    for n in indices:
-        group = fox_closed_form(n)
-        module = wheel_module(n)
-        rows.append(
-            {
-                "n": n,
-                "group": group.describe(),
-                "ideal_gens": [str(g) for g in module.ideal_gens],
-                "alexander": str(module.alexander),
-            }
-        )
+    rows = [
+        {
+            "n": n,
+            "group": fox_closed_form(n).describe(),
+            "ideal_gens": [str(g) for g in module.ideal_gens],
+            "alexander": str(module.alexander),
+        }
+        for n, module in zip(indices, wheel_modules(indices))
+    ]
     document = {
         "command": "table",
         "inputs": {"from": args.from_n, "to": args.to_n},
@@ -323,15 +323,18 @@ def _usage(command: str | None) -> str:
     return " ".join(parts)
 
 
-def _help(command: str | None):
-    print(_usage(command) + "\n")
-    if command is None:
-        print(_DESCRIPTION + "\n")
-        for name, (_, line, _, _) in _GRAMMAR.items():
-            print(f"  {name:<12}{line}")
-    else:
-        print(_GRAMMAR[command][1])
-    raise SystemExit(0)
+class _Help(SystemExit):
+    """-h/--help: main() prints the help text it carries and exits 0."""
+
+    def __init__(self, command: str | None):
+        super().__init__(0)
+        lines = [_usage(command), ""]
+        if command is None:
+            lines += [_DESCRIPTION, ""]
+            lines += [f"  {name:<12}{line}" for name, (_, line, _, _) in _GRAMMAR.items()]
+        else:
+            lines.append(_GRAMMAR[command][1])
+        self.text = "\n".join(lines)
 
 
 def _option(token: str, names) -> tuple[str | None, str | None] | None:
@@ -373,13 +376,13 @@ def _parse(argv: list[str]) -> SimpleNamespace:
 
     Options may come before or after the positional, as --opt value or
     --opt=value, and the last repeat of an option wins.  After the first
-    "--" every token is positional.  Raises _UsageError, or SystemExit(0)
-    once -h/--help has printed the usage.
+    "--" every token is positional.  Raises _UsageError, or _Help for
+    -h/--help.
     """
     if not argv:
         raise _UsageError("the following arguments are required: command")
     if _option(argv[0], ("--help",)) == ("--help", None):
-        _help(None)
+        raise _Help(None)
     command, tokens = _convert("command", tuple(_GRAMMAR), argv[0]), argv[1:]
     _, _, positional, options = _GRAMMAR[command]
     split = tokens.index("--") if "--" in tokens else len(tokens)
@@ -404,7 +407,7 @@ def _parse(argv: list[str]) -> SimpleNamespace:
         elif kind[0] == "--help":
             if kind[1] is not None:
                 raise _UsageError(f"argument -h/--help: ignored explicit argument {_echo(kind[1])}")
-            _help(command)
+            raise _Help(command)
         else:
             name, value = kind
             dest, type_, many, _ = options[name]
@@ -436,6 +439,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = _parse(argv)
         document, lines = _GRAMMAR[command][0](args)
+        text = render_json(document) if args.format == "json" else "\n".join(lines)
+    except _Help as exc:
+        document, text = None, exc.text
     except (_UsageError, BraidParseError, EnumerationLimitError) as exc:
         prog = "foxabf" if command is None else f"foxabf {command}"
         sys.stderr.write(f"{_usage(command)}\n{prog}: error: {exc}\n")
@@ -445,7 +451,7 @@ def main(argv: list[str] | None = None) -> int:
         sys.stderr.write(f"foxabf {command}: error: internal consistency check failed: {exc}\n")
         return 1
     try:
-        print(render_json(document) if args.format == "json" else "\n".join(lines))
+        print(text)
         sys.stdout.flush()
     except BrokenPipeError:
         # the reader closed stdout; devnull takes the interpreter's final
@@ -454,6 +460,8 @@ def main(argv: list[str] | None = None) -> int:
 
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
+    if document is None:
+        raise SystemExit(0)
     return 0 if document.get("consistency", True) else 1
 
 

@@ -7,14 +7,15 @@ Fibonacci route presents it by the 2x2 matrix
 [[F_{2n}, F_{2n-1}-1], [F_{2n+1}-1, F_{2n}]].  goeritz_equivalence_check
 compares its Smith form against the independently derived Goeritz
 presentation built from S_k(3), and cross_verify also reads the
-closed-form ABF matrix A_n at t = -1.
+closed-form ABF matrix A_n at t = -1 and compares the Bareiss determinant of
+-A'_n with the one the Euclidean reduction read off.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 
-from .alexander import wheel_abf_matrix_closed, wheel_module
+from .alexander import _wheel_matrix, wheel_abf_matrix_closed, wheel_g, wheel_module
 from .braid import wheel_braid
 from .coloring import (
     _check_enumeration,
@@ -86,7 +87,8 @@ def cross_verify(n: int, brute_force_moduli: tuple[int, ...] = ()) -> WheelRepor
 
     closed Fibonacci/Lucas form, Burau reduction at t = -1 (for both the
     default and the middle drop index), A_n and the module generators at
-    t = -1, brute-force coloring counts, and the Goeritz presentation.
+    t = -1, the Bareiss det of -A'_n against the module's det A'_n,
+    brute-force coloring counts, and the Goeritz presentation.
     """
     word = wheel_braid(n)
     for modulus in brute_force_moduli:  # refuse an over-cap modulus before any route runs
@@ -96,6 +98,10 @@ def cross_verify(n: int, brute_force_moduli: tuple[int, ...] = ()) -> WheelRepor
     drop_middle_group = coloring_group(word, drop_index=2).group
     abf_rows = wheel_abf_matrix_closed(n).entries()
     abf_group = snf(Matrix([[p.at_minus_one() for p in row] for row in abf_rows]))
+
+    # before the module: its products are then freed before the module's
+    # Alexander polynomial exists, which keeps the peak memory down
+    bareiss_det = _wheel_matrix(wheel_g(n + 1), wheel_g(n - 1)).det()
 
     module = wheel_module(n)
     gens_at = tuple(abs(g.at_minus_one()) for g in module.ideal_gens)
@@ -117,6 +123,7 @@ def cross_verify(n: int, brute_force_moduli: tuple[int, ...] = ()) -> WheelRepor
         and burau_group == drop_middle_group
         and abf_group == closed
         and gens_torsion == closed.torsion
+        and bareiss_det == module.det_a_prime
         and all(check.ok for check in checks)
         and goeritz_ok
     )

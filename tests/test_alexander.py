@@ -342,13 +342,49 @@ def two_row_descent(neg_aprime, n):
 def test_one_row_descent_ends_where_the_two_row_descent_does():
     for n in [*range(1, 61), 100, 171, 270]:
         neg_aprime = alexander._wheel_matrix(wheel_g(n + 1), wheel_g(n - 1))
-        assert alexander._descend(neg_aprime, n) == two_row_descent(neg_aprime, n), n
+        first = alexander._replay(neg_aprime, n)
+        assert alexander._descend(first, n) == two_row_descent(neg_aprime, n), n
 
 
 def test_det_a_prime_closed_forms_to_100():
+    # the Euclidean reduction's det and the Bareiss det of -A'_n
     for n in range(1, 102):
-        det_a_prime = wheel_module(n).det_a_prime
-        assert det_a_prime == (ONE if n % 2 else DET_EVEN), n
+        closed_form = ONE if n % 2 else DET_EVEN
+        assert wheel_module(n).det_a_prime == closed_form, n
+        bareiss = alexander._wheel_matrix(wheel_g(n + 1), wheel_g(n - 1)).det()
+        assert bareiss == closed_form, n
+
+
+@pytest.mark.parametrize("lo, hi", [(1, 9), (2, 10), (3, 11), (1, 60), (171, 174)])
+def test_wheel_modules_are_the_wheel_modules_row_by_row(lo, hi):
+    # from 3 the lowest odd row descends fully, from 1 it chains onto n = 1
+    indices = range(lo, hi + 1)
+    assert list(alexander.wheel_modules(indices)) == [wheel_module(n) for n in indices]
+
+
+def test_wheel_modules_descends_fully_when_the_row_two_below_is_missing(monkeypatch):
+    steps = []
+    exact = alexander._step
+    monkeypatch.setattr(alexander, "_step", lambda *row: steps.append(row) or exact(*row))
+    modules = list(alexander.wheel_modules([20, 22, 30]))
+    assert len(steps) == (20 // 2 - 1) + 1 + (30 // 2 - 1)
+    assert modules == [wheel_module(n) for n in (20, 22, 30)]
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 8])
+def test_descent_checks_its_det_against_the_closed_form(n, monkeypatch):
+    # a descent that reached (1, 0) but lost a unit factor is refused
+    exact = alexander._descend
+    monkeypatch.setattr(
+        alexander,
+        "_descend",
+        lambda first, m: tuple((x, -y) for x, y in exact(first, m)),
+    )
+    with pytest.raises(
+        InternalConsistencyError,
+        match=fr"^Euclidean reduction of the wheel matrix lost the determinant at n = {n}$",
+    ):
+        wheel_module(n)
 
 
 def test_wheel_module_invariant():

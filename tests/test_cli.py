@@ -247,23 +247,38 @@ def test_wheel_computes_the_module_once(capsys, monkeypatch):
 
 def test_wheel_builds_each_wheel_matrix_once(capsys, monkeypatch):
     # one formula builds both matrices: A_n for the t = -1 route of
-    # cross_verify and -A'_n for the Euclidean reduction, once each
+    # cross_verify, -A'_n for the Euclidean reduction and -A'_n again for
+    # cross_verify's Bareiss determinant, which stays independent of the
+    # reduction's matrix
     builds = count_calls(monkeypatch, alexander, "_wheel_matrix")
     code, _ = run(["wheel", "7"], capsys)
     assert code == 0
-    assert len(builds) == 2
+    assert len(builds) == 3
 
 
 def test_wheel_takes_one_determinant_and_no_division(capsys, monkeypatch):
-    # A'_n = A_n / (-g_n) is built from g_{n-1} and g_{n+1}, and the
-    # Alexander polynomial is the product of the ideal generators, so the
-    # one determinant is det A'_n; its one Bareiss step would divide by the
-    # initial pivot 1, which det skips
+    # the Euclidean reduction reads det A'_n off its column operations, and
+    # the Alexander polynomial is the product of the ideal generators, so
+    # the one determinant is cross_verify's Bareiss det of -A'_n; its one
+    # Bareiss step would divide by the initial pivot 1, which det skips
     divisions = count_calls(monkeypatch, ring, "divide_exact")
     dets = count_calls(monkeypatch, ring.Matrix, "det")
     code, _ = run(["wheel", "7"], capsys)
     assert code == 0
     assert (len(divisions), len(dets)) == (0, 1)
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_wheel_reports_a_bareiss_det_that_disagrees(fmt, capsys, monkeypatch):
+    # the Bareiss det of -A'_n is the independent route to det A'_n
+    exact = ring.Matrix.det
+    monkeypatch.setattr(ring.Matrix, "det", lambda self: exact(self) + 1)
+    code, out = run(["wheel", "7", "--format", fmt], capsys)
+    assert code == 1
+    if fmt == "json":
+        assert json.loads(out)["consistency"] is False
+    else:
+        assert out.splitlines()[-1] == "all routes consistent: False"
 
 
 @pytest.mark.parametrize(
@@ -319,10 +334,14 @@ def test_verify_reports_failure(capsys, monkeypatch):
         ["wheel", "9", "--format", "json"],
         ["table", "--from", "8", "--to", "10"],
         ["table", "--from", "8", "--to", "10", "--format", "csv"],
+        ["table", "--from", "2", "--to", "12"],
+        ["table", "--from", "2", "--to", "12", "--format", "csv"],
     ],
 )
 def test_failed_internal_check_is_named_on_one_stderr_line(argv, capsys, monkeypatch):
-    # g_10 off by 1 leaves n = 9's first row off the Chebyshev pairs
+    # g_10 off by 1 leaves n = 9's first row off the Chebyshev pairs: from 8
+    # the full descent misses (1, 0), from 2 row 9's one step misses row 7's
+    # first row
     exact = alexander.wheel_g
     monkeypatch.setattr(alexander, "wheel_g", lambda m: exact(m) + (1 if m == 10 else 0))
     assert cli.main(argv) == 1
@@ -365,12 +384,22 @@ def test_table_markdown(capsys):
 
 
 def test_table_builds_each_matrix_once(capsys, monkeypatch):
-    # a row needs only the cyclic decomposition: one -A'_n and no A_n
+    # a row needs only the cyclic decomposition: one -A'_n, no A_n and no
+    # determinant, which the Euclidean reduction reads off
     closed = count_calls(monkeypatch, alexander, "wheel_abf_matrix_closed")
     builds = count_calls(monkeypatch, alexander, "_wheel_matrix")
+    dets = count_calls(monkeypatch, ring.Matrix, "det")
     code, _ = run(["table", "--from", "2", "--to", "11"], capsys)
     assert code == 0
-    assert (len(closed), len(builds)) == (0, 10)
+    assert (len(closed), len(builds), len(dets)) == (0, 10, 0)
+
+
+def test_table_descends_fully_only_the_lowest_row_of_each_parity(capsys, monkeypatch):
+    # a row above the lowest two takes one step onto the row two below
+    steps = count_calls(monkeypatch, alexander, "_step")
+    code, _ = run(["table", "--from", "102", "--to", "105"], capsys)
+    assert code == 0
+    assert len(steps) == (102 // 2 - 1) + (103 // 2 - 1) + 2
 
 
 def test_table_bad_range_exits_2(capsys):
@@ -429,7 +458,7 @@ def test_handlers_return_the_answer_and_print_nothing(argv, capsys):
     assert isinstance(lines, list) and lines and all(isinstance(line, str) for line in lines)
 
 
-@pytest.mark.parametrize("argv", SMALL_REQUESTS)
+@pytest.mark.parametrize("argv", [*SMALL_REQUESTS, ["-h"], ["wheel", "-h"]])
 def test_closed_stdout_exits_1_with_nothing_on_stderr(argv):
     # the reader has gone before the answer is written, as in `foxabf ... | head -0`
     env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
