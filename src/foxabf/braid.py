@@ -219,8 +219,12 @@ def _burau_product(word: BraidWord, ring) -> Matrix:
     """Product of the letter matrices in word order over the given ring.
 
     Multiplying on the right by a letter matrix changes only columns i and
-    i+1, so each letter updates those two columns of every row in place:
-    O(strands) ring operations per letter instead of a full matrix product.
+    i+1, so each letter updates those two columns of every row in place
+    instead of taking a full matrix product.  A row whose entries in both
+    columns are zero stays (0, 0) under either letter, over either ring
+    (an int 0 and the zero LaurentPoly are both falsy), and is skipped, so
+    a letter costs O(rows in which either column is nonzero) ring
+    operations: on a wide word most rows are still zero in most columns.
     """
     one, t, t_inv = ring
     one_minus_t, one_minus_t_inv = one - t, one - t_inv
@@ -232,11 +236,15 @@ def _burau_product(word: BraidWord, ring) -> Matrix:
         if letter > 0:  # columns (a, b) -> (t*b, a + (1-t)*b)
             for row in rows:
                 a, b = row[i], row[j]
+                if not (a or b):
+                    continue
                 row[i] = t * b
                 row[j] = a + one_minus_t * b
         else:  # columns (a, b) -> ((1-t^-1)*a + b, t^-1*a)
             for row in rows:
                 a, b = row[i], row[j]
+                if not (a or b):
+                    continue
                 row[i] = one_minus_t_inv * a + b
                 row[j] = t_inv * a
     return Matrix(rows)

@@ -50,6 +50,13 @@ def _matrix_payload(matrix: Matrix) -> list[list[str]]:
     return [[str(entry) for entry in row] for row in matrix.entries()]
 
 
+def _ideal_gens_payload(gens) -> list[str]:
+    """The two ideal generators' strings; for odd n both are g_n (det A'_n
+    = 1), and the equal second one is not rendered again."""
+    first = str(gens[0])
+    return [first, first if gens[1] == gens[0] else str(gens[1])]
+
+
 def render_json(document: dict) -> str:
     """The byte-exact JSON form used by every subcommand."""
     return json.dumps(document, indent=2, ensure_ascii=False)
@@ -92,22 +99,18 @@ def _cmd_colorgroup(args) -> tuple[dict, list[str]]:
 def _cmd_abf(args) -> tuple[dict, list[str]]:
     word = parse_braid(args.braid, strands=args.strands)
     presentation = general_presentation(word)
+    matrix = _matrix_payload(presentation.matrix)
+    alexander = str(presentation.alexander)
     document = {
         "command": "abf",
         "inputs": {"braid": list(word.letters), "strands": word.strands},
-        "results": {
-            "matrix": _matrix_payload(presentation.matrix),
-            "alexander": str(presentation.alexander),
-        },
+        "results": {"matrix": matrix, "alexander": alexander},
     }
     return document, [
         f"braid: {word.as_text() or '(identity)'} on {word.strands} strands",
         "reduced presentation matrix:",
-        *(
-            "  [" + ", ".join(str(e) for e in row) + "]"
-            for row in presentation.matrix.entries()
-        ),
-        f"alexander polynomial: {presentation.alexander}",
+        *("  [" + ", ".join(row) + "]" for row in matrix),
+        f"alexander polynomial: {alexander}",
     ]
 
 
@@ -121,16 +124,17 @@ def _cmd_wheel(args) -> tuple[dict, list[str]]:
         raise _UsageError("every modulus must be at least 2")
     report = cross_verify(args.n, brute_force_moduli=moduli)
     module = report.module
-    gens = module.ideal_gens
+    gens = _ideal_gens_payload(module.ideal_gens)
+    det_a_prime, alexander = str(module.det_a_prime), str(module.alexander)
     document = {
         "command": "wheel",
         "inputs": {"n": args.n, "moduli": list(moduli)},
         "results": {
             "closed_form_group": _group_payload(report.closed_form_group),
             "burau_group": _group_payload(report.burau_group),
-            "ideal_gens": [str(g) for g in gens],
-            "det_a_prime": str(module.det_a_prime),
-            "alexander": str(module.alexander),
+            "ideal_gens": gens,
+            "det_a_prime": det_a_prime,
+            "alexander": alexander,
             "ideal_gens_at_minus_one": [str(v) for v in report.abf_gens_at_minus_one],
             "brute_force": [
                 {
@@ -150,8 +154,8 @@ def _cmd_wheel(args) -> tuple[dict, list[str]]:
         f"closed-form group:  {report.closed_form_group.describe()}",
         f"burau-route group:  {report.burau_group.describe()}",
         f"module generators:  ({gens[0]}, {gens[1]})",
-        f"det A' = {module.det_a_prime}",
-        f"alexander polynomial: {module.alexander}",
+        f"det A' = {det_a_prime}",
+        f"alexander polynomial: {alexander}",
         f"generators at t=-1: {list(report.abf_gens_at_minus_one)}",
     ]
     for c in report.brute_force_checks:
@@ -236,7 +240,7 @@ def _cmd_table(args) -> tuple[dict, list[str]]:
         {
             "n": n,
             "group": fox_closed_form(n).describe(),
-            "ideal_gens": [str(g) for g in module.ideal_gens],
+            "ideal_gens": _ideal_gens_payload(module.ideal_gens),
             "alexander": str(module.alexander),
         }
         for n, module in zip(indices, wheel_modules(indices))

@@ -8,12 +8,17 @@ the tuple of coefficients of t^lo, t^(lo+1), ..., whose first and last
 entries are nonzero; zero is ``(0, ())``.  The form is canonical, so
 equality is tuple equality.  Storage grows with the exponent span, not
 the number of terms; every polynomial the library builds is dense (its
-span is bounded by the word length or the wheel index).  A product is a
+span is bounded by the word length or the wheel index).  A product with a
+zero operand is that operand, and one with a one-coefficient operand c*t^k
+is the other operand's tuple shifted by k and scaled by c, with no convolution
+(the units t^(+/-1) of the Burau update, det A'_n = 1); otherwise it is a
 schoolbook convolution when the shorter operand has fewer than 8
 coefficients and one big-int multiplication (Kronecker substitution) from
-8 up; exact division is always schoolbook.  Matrices are immutable and
-work over either ring: entries may be ``int`` or ``LaurentPoly`` and mix
-freely, since ints coerce to constant polynomials.
+8 up.  A sum and a difference align the two tuples once and combine them
+entrywise, so a difference builds no negated operand.  Exact division is
+always schoolbook.  Matrices are immutable and work over either ring:
+entries may be ``int`` or ``LaurentPoly`` and mix freely, since ints
+coerce to constant polynomials.
 
 Everything in this module is a pure function over immutable values and is
 safe to call concurrently.
@@ -118,21 +123,26 @@ class LaurentPoly:
             return LaurentPoly.const(value)
         return None
 
-    def __add__(self, other):
+    def _combine(self, other, op):
+        """self op other for op in (operator.add, operator.sub): both
+        coefficient tuples aligned on one exponent range, then combined."""
         other = self._coerce(other)
         if other is None:
             return NotImplemented
         a, b = self._coeffs, other._coeffs
-        if not a:
-            return other
         if not b:
             return self
+        if not a:
+            return other if op is operator.add else -other
         la, lb = self._lo, other._lo
         lo = min(la, lb)
         hi = max(la + len(a), lb + len(b))
         a = (0,) * (la - lo) + a + (0,) * (hi - la - len(a))
         b = (0,) * (lb - lo) + b + (0,) * (hi - lb - len(b))
-        return LaurentPoly._trimmed(lo, list(map(operator.add, a, b)))
+        return LaurentPoly._trimmed(lo, list(map(op, a, b)))
+
+    def __add__(self, other):
+        return self._combine(other, operator.add)
 
     __radd__ = __add__
 
@@ -140,35 +150,42 @@ class LaurentPoly:
         return LaurentPoly._of(self._lo, tuple(map(operator.neg, self._coeffs)))
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
+        return self._combine(other, operator.sub)
 
     def __rsub__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return other + (-self)
+        return other._combine(self, operator.sub)
 
     def __mul__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
         a, b = self._coeffs, other._coeffs
-        if not a or not b:
-            return LaurentPoly.zero()
+        if not a:
+            return self
+        if not b:
+            return other
+        lo = self._lo + other._lo
         if len(a) > len(b):
             a, b = b, a
         # over Z the end coefficients of the product are nonzero: no trim
+        if len(a) == 1:  # c * t^k: the other tuple, shifted and scaled
+            c = a[0]
+            if c == 1:
+                return LaurentPoly._of(lo, b)
+            if c == -1:
+                return LaurentPoly._of(lo, tuple(map(operator.neg, b)))
+            return LaurentPoly._of(lo, tuple([c * cb for cb in b]))
         if len(a) >= _KRONECKER_MIN_LEN:
-            return LaurentPoly._of(self._lo + other._lo, _kronecker_product(a, b))
+            return LaurentPoly._of(lo, _kronecker_product(a, b))
         out = [0] * (len(a) + len(b) - 1)
         for i, ca in enumerate(a):
             if ca:
                 for j, cb in enumerate(b, i):
                     out[j] += ca * cb
-        return LaurentPoly._of(self._lo + other._lo, tuple(out))
+        return LaurentPoly._of(lo, tuple(out))
 
     __rmul__ = __mul__
 

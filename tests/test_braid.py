@@ -368,6 +368,16 @@ def letter_matrix_product(word, one, t, t_inv):
     return product
 
 
+def wide_word(rng, strands, length, split):
+    """Random letters on ``strands`` strands.  A non-split word uses
+    +-(strands - 1); a split word leaves its last two strands untouched,
+    so its closure has split components."""
+    used = strands - 2 if split else strands
+    letters = [rng.choice((1, -1)) * rng.randint(1, used - 1) for _ in range(length)]
+    letters[rng.randrange(length)] = rng.choice((1, -1)) * (used - 1)
+    return BraidWord(strands, tuple(letters))
+
+
 def oracle_words():
     rng = random.Random(79)
     words = [BraidWord(1), BraidWord(4)]
@@ -379,6 +389,11 @@ def oracle_words():
         used = rng.randint(1, strands - 3)
         letters = tuple(rng.choice((1, -1)) * rng.randint(1, used) for _ in range(rng.randint(1, 12)))
         words.append(BraidWord(strands, letters))
+    for strands, length in ((16, 40), (24, 22), (24, 80)):
+        # wide, sparse words: in most rows both columns a letter touches
+        # are zero, and the Burau product skips those rows
+        for split in (False, True):
+            words.append(wide_word(rng, strands, length, split))
     return words
 
 

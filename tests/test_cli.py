@@ -184,6 +184,16 @@ def test_abf_takes_no_determinant_of_a_split_word(argv, dets, alexander, capsys,
     assert len(calls) == dets
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_abf_renders_each_polynomial_once(fmt, capsys, monkeypatch):
+    # the text rows join the strings of the JSON matrix: 3 x 3 entries and
+    # the Alexander polynomial
+    renders = count_calls(monkeypatch, ring.LaurentPoly, "to_str")
+    code, _ = run(["abf", "1 -2 3 -2 1", "--format", fmt], capsys)
+    assert code == 0
+    assert len(renders) == 3 * 3 + 1
+
+
 # -- wheel --------------------------------------------------------------------------
 
 
@@ -266,6 +276,15 @@ def test_wheel_takes_one_determinant_and_no_division(capsys, monkeypatch):
     code, _ = run(["wheel", "7"], capsys)
     assert code == 0
     assert (len(divisions), len(dets)) == (0, 1)
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_wheel_renders_each_polynomial_once(fmt, capsys, monkeypatch):
+    # two ideal generators, det A' and the Alexander polynomial, each once
+    renders = count_calls(monkeypatch, ring.LaurentPoly, "to_str")
+    code, _ = run(["wheel", "7", "--format", fmt], capsys)
+    assert code == 0
+    assert len(renders) <= 4
 
 
 @pytest.mark.parametrize("fmt", ["text", "json"])
@@ -400,6 +419,16 @@ def test_table_descends_fully_only_the_lowest_row_of_each_parity(capsys, monkeyp
     code, _ = run(["table", "--from", "102", "--to", "105"], capsys)
     assert code == 0
     assert len(steps) == (102 // 2 - 1) + (103 // 2 - 1) + 2
+
+
+@pytest.mark.parametrize("fmt", ["text", "json", "csv", "markdown"])
+def test_table_renders_an_odd_row_generator_once(fmt, capsys, monkeypatch):
+    # odd n has det A'_n = 1, so both ideal generators are g_n: an odd row
+    # renders g_n and the Alexander polynomial, an even row three strings
+    renders = count_calls(monkeypatch, ring.LaurentPoly, "to_str")
+    code, _ = run(["table", "--from", "1", "--to", "9", "--format", fmt], capsys)
+    assert code == 0
+    assert len(renders) == 5 * 2 + 4 * 3
 
 
 def test_table_bad_range_exits_2(capsys):

@@ -218,6 +218,52 @@ def test_product_with_units_and_interior_zeros():
     assert sparse * (-sparse) == LaurentPoly({0: -1, 20: 2, 40: -1})
 
 
+@pytest.mark.parametrize("c", [1, -1, 2, -7, 2**70])
+@pytest.mark.parametrize("k", [-40, 0, 3])
+def test_one_coefficient_product_matches_schoolbook(c, k):
+    # c * t^k is the other operand's tuple, shifted and scaled, in either order
+    rng = random.Random(abs(c) + k)
+    monomial = LaurentPoly({k: c})
+    for length in (1, 2, 7, 8, 30):
+        p = rand_dense(rng, length, 64, zeros=0.5)
+        expected = schoolbook_product(monomial, p)
+        assert monomial * p == expected, length
+        assert p * monomial == expected, length
+        assert c * p.shift(k) == expected and p.shift(k) * c == expected
+
+
+def test_zero_operand_gives_zero_in_either_order():
+    rng = random.Random(100)
+    for p in (LaurentPoly.zero(), ONE, -T, Z, rand_dense(rng, 9, 64), rand_dense(rng, 40, 8)):
+        for zero in (0, LaurentPoly.zero()):
+            for product in (p * zero, zero * p):
+                assert isinstance(product, LaurentPoly)
+                assert product == LaurentPoly.zero() and product.is_zero
+
+
+def test_difference_is_the_sum_with_the_negation():
+    rng = random.Random(101)
+    pairs = [(rand_poly(rng), rand_poly(rng)) for _ in range(300)]
+    pairs += [(rand_dense(rng, 20, 64), rand_dense(rng, 5, 8)) for _ in range(50)]
+    p = rand_dense(rng, 12, 30)
+    pairs += [
+        (p, p),  # equal: the difference is zero
+        (Z, LaurentPoly.zero()),
+        (LaurentPoly.zero(), Z),
+        (T.shift(50), Z),  # disjoint exponent spans, either order
+        (Z, T.shift(-50)),
+        (Z + T.shift(2), Z),  # the low ends cancel
+        (T.shift(-3) + Z, Z),  # the high ends cancel
+        (T.shift(-3) + Z + T.shift(3), Z),  # both ends cancel
+    ]
+    for a, b in pairs:
+        difference = a - b
+        assert difference == a + (-b), (a, b)
+        assert difference == LaurentPoly({e: a.coeff(e) - b.coeff(e) for e in range(-400, 400)})
+        assert b - a == -difference
+    assert 3 - T == LaurentPoly({0: 3, 1: -1}) and T - 3 == LaurentPoly({0: -3, 1: 1})
+
+
 # -- unit normalization ------------------------------------------------------
 
 
