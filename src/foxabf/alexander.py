@@ -58,8 +58,11 @@ g_n^2 * det(A'_n) in any commutative ring, so no A_n is built.
 The descent is the recurrence run backwards, so one step takes row n's
 first row onto row n - 2's: wheel_modules, which serves a table, runs the
 full descent for the lowest row of each parity only and one checked step
-for every row above.  wheel.cross_verify builds A_n once, checks that A_n
-at t = -1 presents the Fox group, and takes the Bareiss det of -A'_n as an
+for every row above.  W(p, q), g_n and the closed A_n take a ring, as
+braid._burau_product does: Z[t^(+/-1)] by default, or its image at t = -1,
+where t = t^{-1} = -1 and z = 3, so S_k is read as S_k(3).
+wheel.cross_verify builds A_n once, over the integers at t = -1, checks
+that it presents the Fox group, and takes the Bareiss det of -A'_n as an
 independent check of det_a_prime.
 """
 
@@ -70,11 +73,20 @@ from collections.abc import Iterable, Iterator
 
 from .braid import BraidWord, burau, reduced_relation_matrix
 from .ring import LaurentPoly, Matrix, normalize_unit
-from .sequences import Z_OF_T, cheb_S_subst
+from .sequences import Z_OF_T, cheb_S_at, cheb_S_subst
 
 _ONE = LaurentPoly.one()
 _ZERO = LaurentPoly.zero()
 _DET_A_PRIME = (Z_OF_T + 2, _ONE)  # det A'_n for even n (3 - t - t^-1) and odd n
+
+
+# Ring data (t, t^-1, k -> S_k at z = 1 - t - t^-1) over Z[t^(+/-1)] and at
+# t = -1, where z = 3: evaluation is a ring map, so W and g_n built there
+# are the Laurent ones evaluated at t = -1.  The S functions are looked up
+# when called, so a wrapper bound to their names in this module sees every
+# call
+_LAURENT = (LaurentPoly.t(), LaurentPoly.t(-1), lambda k: cheb_S_subst(k))
+_AT_MINUS_ONE = (-1, -1, lambda k: cheb_S_at(k, 3))
 
 
 class InternalConsistencyError(RuntimeError):
@@ -113,15 +125,17 @@ def general_presentation(word: BraidWord) -> ModulePresentation:
     return ModulePresentation(matrix=matrix, alexander=alexander)
 
 
-def wheel_g(n: int) -> LaurentPoly:
+def wheel_g(n: int, ring: tuple = _LAURENT):
     """The common Chebyshev factor g_n of the wheel presentation matrix:
-    S_{k-1} for n = 2k, S_{k-1} + S_k for n = 2k+1 (z = 1 - t - t^{-1})."""
+    S_{k-1} for n = 2k, S_{k-1} + S_k for n = 2k+1 (z = 1 - t - t^{-1}),
+    over ``ring``."""
     if n < 0:
         raise ValueError("g_n is only used for n >= 0")
     k = n // 2
+    s = ring[2]
     if n % 2 == 0:
-        return cheb_S_subst(k - 1)
-    return cheb_S_subst(k - 1) + cheb_S_subst(k)
+        return s(k - 1)
+    return s(k - 1) + s(k)
 
 
 def _wheel_recursion(max_n: int):
@@ -135,10 +149,12 @@ def _wheel_recursion(max_n: int):
         yield Matrix([p, q])
 
 
-def _wheel_matrix(p: LaurentPoly, q: LaurentPoly) -> Matrix:
-    """W(p, q) = [[-p - t^{-1}*q, t^{-1}*q], [t*p, -p - t*q]], the one
-    formula behind A_n and -A'_n."""
-    return Matrix([[-p - q.shift(-1), q.shift(-1)], [p.shift(1), -p - q.shift(1)]])
+def _wheel_matrix(p, q, ring: tuple = _LAURENT) -> Matrix:
+    """W(p, q) = [[-p - t^{-1}*q, t^{-1}*q], [t*p, -p - t*q]] over ``ring``,
+    the one formula behind A_n and -A'_n."""
+    t, t_inv, _ = ring
+    q_inv = t_inv * q
+    return Matrix([[-p - q_inv, q_inv], [t * p, -p - t * q]])
 
 
 def _times_n(a: LaurentPoly, b: LaurentPoly) -> tuple[LaurentPoly, LaurentPoly]:
@@ -146,13 +162,13 @@ def _times_n(a: LaurentPoly, b: LaurentPoly) -> tuple[LaurentPoly, LaurentPoly]:
     return a - a.shift(1) + b.shift(1), -a.shift(1) - b.shift(2)
 
 
-def wheel_abf_matrix_closed(n: int) -> Matrix:
+def wheel_abf_matrix_closed(n: int, ring: tuple = _LAURENT) -> Matrix:
     """Wheel presentation from the Chebyshev closed form,
-    A_n = W(g_n*g_{n+1}, g_n*g_{n-1})."""
+    A_n = W(g_n*g_{n+1}, g_n*g_{n-1}), over ``ring``."""
     if n < 1:
         raise ValueError("the wheel family starts at n = 1")
-    g = wheel_g(n)
-    return _wheel_matrix(g * wheel_g(n + 1), g * wheel_g(n - 1))
+    g = wheel_g(n, ring)
+    return _wheel_matrix(g * wheel_g(n + 1, ring), g * wheel_g(n - 1, ring), ring)
 
 
 def _replay(neg_aprime: Matrix, n: int) -> tuple[LaurentPoly, LaurentPoly]:

@@ -11,15 +11,18 @@ and surface as free rank.
 
 brute_force_coloring_count is the independent oracle: it propagates the
 coloring rule (new undercrossing color = 2*over - under) once through the
-word on the basis colorings, in O(L*s), then enumerates all m^s
-assignments of Z_m values to the top arcs and keeps those the propagated
-map fixes, in O(m^s * s^2).  It applies the rule itself and shares no
+word on the basis colorings over Z, in O(L*s), then reduces the rows mod
+m, enumerates all m^s assignments of Z_m values to the top arcs and keeps
+those the propagated map fixes, in O(m^s * s^2).  The last word's rows
+are kept, so counting one word for several moduli in turn propagates the
+rule once.  It applies the rule itself and shares no
 code with the Burau product, the reduced matrix or SNF; its count equals
 the number of fixed vectors of the Burau matrix mod m at t = -1.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -65,6 +68,26 @@ def _check_enumeration(strands: int, modulus: int) -> None:
         )
 
 
+@functools.lru_cache(maxsize=1)
+def _closing_rows(word: BraidWord) -> tuple[tuple[int, ...], ...]:
+    """The rows of (bottom - top) over Z, as coefficients over the top arcs:
+    an assignment mod m closes up when each row maps it to 0 mod m.  The
+    last word's rows are kept, so counting it for several moduli
+    propagates the rule once."""
+    strands = word.strands
+    # arcs[j]: color of the arc at position j as coefficients over the top
+    # arcs; the rule is linear, so one pass serves every assignment
+    arcs = [[int(i == j) for i in range(strands)] for j in range(strands)]
+    for letter in word.letters:
+        i = abs(letter) - 1
+        a, b = arcs[i], arcs[i + 1]
+        if letter > 0:
+            arcs[i], arcs[i + 1] = b, [v + v - u for u, v in zip(a, b)]
+        else:
+            arcs[i], arcs[i + 1] = [u + u - v for u, v in zip(a, b)], a
+    return tuple(tuple(c - (i == j) for i, c in enumerate(arc)) for j, arc in enumerate(arcs))
+
+
 def brute_force_coloring_count(word: BraidWord, modulus: int) -> int:
     """Number of Fox colorings of the closure with values in Z_modulus,
     counted by exhaustive enumeration over the top arcs: O(L*s) to
@@ -72,18 +95,7 @@ def brute_force_coloring_count(word: BraidWord, modulus: int) -> int:
     reading only the strand count and the letters."""
     strands = word.strands
     _check_enumeration(strands, modulus)
-    # arcs[j]: color of the arc at position j as coefficients mod m over
-    # the top arcs; the rule is linear, so one pass serves every assignment
-    arcs = [[int(i == j) for i in range(strands)] for j in range(strands)]
-    for letter in word.letters:
-        i = abs(letter) - 1
-        a, b = arcs[i], arcs[i + 1]
-        if letter > 0:
-            arcs[i], arcs[i + 1] = b, [(v + v - u) % modulus for u, v in zip(a, b)]
-        else:
-            arcs[i], arcs[i + 1] = [(u + u - v) % modulus for u, v in zip(a, b)], a
-    # an assignment closes up when each row of (bottom - top) maps it to 0
-    rows = [[(c - (i == j)) % modulus for i, c in enumerate(arc)] for j, arc in enumerate(arcs)]
+    rows = [[c % modulus for c in row] for row in _closing_rows(word)]
     count = 0
     for top in itertools.product(range(modulus), repeat=strands):
         for row in rows:

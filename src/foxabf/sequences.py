@@ -12,7 +12,19 @@ substituted variants evaluate at z = 1 - t - t^{-1}.
 Every Chebyshev sequence is a _Chebyshev object that runs the recurrence
 from x_0 and x_1 = z: module-level objects for S_n and T_n in z, for the
 substituted S_n and for S_n at each integer base cheb_S_at has seen grow on
-demand; the recurrence solver builds one per call.
+demand; the recurrence solver builds one per call.  A caller that reads in
+order grows the prefix one step at a time.  An S index past twice the
+prefix is reached by doubling instead (Mason & Handscomb, Chebyshev
+Polynomials, 2003):
+
+    S_{2m} = S_m^2 - S_{m-1}^2,    S_{2m-1} = S_{m-1}*(S_m - S_{m-2}),
+
+so a cold wheel request, which reads S_k near k = n/2 only, takes
+O(log n) products instead of n/2 steps.  The pairs so reached are kept
+beside the prefix, one recurrence step from their neighbours either way;
+identity_suite checks both identities as cheb_double_index_even/odd, and
+the wheel module's Euclidean descent, the recurrence run backwards,
+re-checks every value it starts from.  T never jumps.
 """
 
 from __future__ import annotations
@@ -53,21 +65,57 @@ class _Chebyshev:
     """x_0, x_1 = z and x_k = z*x_{k-1} - x_{k-2}, grown on demand.
 
     With x_0 = 1 this is S_k(z), with x_0 = 2 it is T_k(z); z may be any
-    ring element (int or LaurentPoly).  The values tuple is rebound whole,
-    so concurrent readers only ever see a fully built prefix.
+    ring element (int or LaurentPoly).  The values tuple is a prefix
+    x_0, x_1, ..., rebound whole, so concurrent readers only ever see a
+    fully built prefix.
+
+    An S index past twice the prefix is reached by doubling instead: the
+    pair (x_{k-1}, x_k) comes from (x_{m-1}, x_m), m = ceil(k/2), and
+    x_{m-2} = z*x_{m-1} - x_m by the module's two identities, two big
+    products a halving.  Every pair so reached is kept in ``far``,
+    beside the prefix, and an index one recurrence step from two kept
+    neighbours, in either direction, takes that one step; ``far`` only ever
+    gains finished values.  T never jumps.
     """
 
     def __init__(self, x0, z):
         self.z = z
         self.values = (x0, z)
+        self.far = {} if x0 == 1 else None  # index -> S value past the prefix
 
     def __getitem__(self, k: int):
         values = self.values
-        if k >= len(values):
-            ext, z = list(values), self.z
-            while len(ext) <= k:
-                ext.append(z * ext[-1] - ext[-2])
-            self.values = values = tuple(ext)
+        if k < len(values):
+            return values[k]
+        far, z = self.far, self.z
+        if far is not None:
+            if k in far:
+                return far[k]
+            for a, b in ((k - 1, k - 2), (k + 1, k + 2)):
+                if a in far and b in far:  # one step from two kept neighbours
+                    far[k] = value = z * far[a] - far[b]
+                    return value
+            if k > 2 * len(values):
+                # halve k until (S_{m-1}, S_m) is known, then double back up
+                chain, m = [], k
+                while m >= len(values) and not (m in far and m - 1 in far):
+                    chain.append(m)
+                    m = (m + 1) // 2
+                known = values if m < len(values) else far
+                s1, s2 = known[m - 1], known[m]
+                for j in reversed(chain):  # (s1, s2) = (S_{m-1}, S_m), m = ceil(j/2)
+                    s0 = z * s1 - s2  # S_{m-2}
+                    odd = s1 * (s2 - s0)  # S_{2m-1}
+                    if j % 2:  # j = 2m - 1: (S_{2m-2}, S_{2m-1})
+                        s1, s2 = (s1 - s0) * (s1 + s0), odd
+                    else:  # j = 2m: (S_{2m-1}, S_{2m})
+                        s1, s2 = odd, (s2 - s1) * (s2 + s1)
+                    far[j - 1], far[j] = s1, s2
+                return s2
+        ext = list(values)
+        while len(ext) <= k:
+            ext.append(z * ext[-1] - ext[-2])
+        self.values = values = tuple(ext)
         return values[k]
 
     def s(self, n: int):
@@ -130,11 +178,11 @@ def solve_chebyshev_recurrence(p0, p1, cs: Sequence, z, n: int):
     if n == 1:
         return p1
     svals = _Chebyshev(z ** 0, z)
-    result = svals[n - 1] * p1 - svals[n - 2] * p0
-    for j in range(n - 1):
-        # c_{n-j} lives at cs[n-j-2]
+    # S_0, S_1, ... in order, so the sequence grows its prefix and never jumps
+    result = svals[0] * cs[n - 2]  # c_{n-j} lives at cs[n-j-2]
+    for j in range(1, n - 1):
         result = result + svals[j] * cs[n - j - 2]
-    return result
+    return svals[n - 1] * p1 - svals[n - 2] * p0 + result
 
 
 def iterate_chebyshev_recurrence(p0, p1, cs: Sequence, z, n: int):

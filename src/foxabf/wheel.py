@@ -6,16 +6,26 @@ Z_{L_n} (+) Z_{L_n} for odd n and Z_{F_n} (+) Z_{5 F_n} for even n.  The
 Fibonacci route presents it by the 2x2 matrix
 [[F_{2n}, F_{2n-1}-1], [F_{2n+1}-1, F_{2n}]].  goeritz_equivalence_check
 compares its Smith form against the independently derived Goeritz
-presentation built from S_k(3), and cross_verify also reads the
-closed-form ABF matrix A_n at t = -1 and compares the Bareiss determinant of
--A'_n with the one the Euclidean reduction read off.
+presentation built from S_k(3).  cross_verify also checks that the
+closed-form ABF matrix A_n at t = -1 presents the Fox group, and compares
+the Bareiss determinant of -A'_n with the one the Euclidean reduction read
+off.  Evaluation at t = -1 is a ring map (Lickorish, An Introduction to
+Knot Theory, ch. 6) that sends z = 1 - t - t^{-1} to 3, so A_n(-1) is
+built over the integers from S_k(3), by the same W(p, q) and g_n as the
+Laurent A_n, and no Laurent A_n is built.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 
-from .alexander import _wheel_matrix, wheel_abf_matrix_closed, wheel_g, wheel_module
+from .alexander import (
+    _AT_MINUS_ONE,
+    _wheel_matrix,
+    wheel_abf_matrix_closed,
+    wheel_g,
+    wheel_module,
+)
 from .braid import wheel_braid
 from .coloring import (
     _check_enumeration,
@@ -96,8 +106,7 @@ def cross_verify(n: int, brute_force_moduli: tuple[int, ...] = ()) -> WheelRepor
     closed = fox_closed_form(n)
     burau_group = coloring_group(word).group
     drop_middle_group = coloring_group(word, drop_index=2).group
-    abf_rows = wheel_abf_matrix_closed(n).entries()
-    abf_group = snf(Matrix([[p.at_minus_one() for p in row] for row in abf_rows]))
+    abf_group = snf(wheel_abf_matrix_closed(n, _AT_MINUS_ONE))
 
     # before the module: its products are then freed before the module's
     # Alexander polynomial exists, which keeps the peak memory down

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from foxabf import alexander, cli, coloring, ring
+from foxabf import alexander, cli, coloring, ring, sequences
 from foxabf.sequences import IdentityCheck
 
 
@@ -278,6 +278,27 @@ def test_wheel_takes_one_determinant_and_no_division(capsys, monkeypatch):
     assert (len(divisions), len(dets)) == (0, 1)
 
 
+def test_wheel_propagates_the_coloring_rule_once(capsys):
+    coloring._closing_rows.cache_clear()
+    code, _ = run(["wheel", "7", "--moduli", "2", "3", "5", "7"], capsys)
+    assert code == 0
+    info = coloring._closing_rows.cache_info()
+    assert (info.misses, info.hits) == (1, 3)
+
+
+def test_a_cold_wheel_request_jumps_to_its_chebyshev_values(capsys, monkeypatch):
+    # from cold sequences, the n//2 - 1 descent steps are the bulk of the
+    # Laurent products: S_k near k = n/2 is reached by doubling, not by
+    # n/2 recurrence steps, and no Laurent A_n is built
+    cold = sequences._Chebyshev(ring.LaurentPoly.one(), sequences.Z_OF_T)
+    monkeypatch.setattr(sequences, "_CHEB_S_SUBST", cold)
+    monkeypatch.setattr(sequences, "_CHEB_S_AT", {})
+    products = [count_calls(monkeypatch, ring.LaurentPoly, op) for op in ("__mul__", "__rmul__")]
+    code, _ = run(["wheel", "800", "--moduli", "2", "3", "5", "7"], capsys)
+    assert code == 0
+    assert sum(map(len, products)) <= 800 // 2 + 60
+
+
 @pytest.mark.parametrize("fmt", ["text", "json"])
 def test_wheel_renders_each_polynomial_once(fmt, capsys, monkeypatch):
     # two ideal generators, det A' and the Alexander polynomial, each once
@@ -360,9 +381,15 @@ def test_verify_reports_failure(capsys, monkeypatch):
 def test_failed_internal_check_is_named_on_one_stderr_line(argv, capsys, monkeypatch):
     # g_10 off by 1 leaves n = 9's first row off the Chebyshev pairs: from 8
     # the full descent misses (1, 0), from 2 row 9's one step misses row 7's
-    # first row
+    # first row.  Only the Laurent g_10 is off; the integer one, at t = -1,
+    # is exact
     exact = alexander.wheel_g
-    monkeypatch.setattr(alexander, "wheel_g", lambda m: exact(m) + (1 if m == 10 else 0))
+    laurent = alexander._LAURENT
+
+    def perturbed(m, ring=laurent):
+        return exact(m, ring) + (1 if m == 10 and ring is laurent else 0)
+
+    monkeypatch.setattr(alexander, "wheel_g", perturbed)
     assert cli.main(argv) == 1
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -182,6 +182,49 @@ def test_brute_force_matches_per_assignment_count():
         cases += 1
 
 
+def per_modulus_count(word, modulus):
+    """Reference count: the coloring rule propagated mod m through the
+    word on the basis colorings, once for this modulus alone, then every
+    assignment tested against the propagated rows."""
+    strands = word.strands
+    arcs = [[int(i == j) for i in range(strands)] for j in range(strands)]
+    for letter in word.letters:
+        i = abs(letter) - 1
+        a, b = arcs[i], arcs[i + 1]
+        if letter > 0:
+            arcs[i], arcs[i + 1] = b, [(2 * v - u) % modulus for u, v in zip(a, b)]
+        else:
+            arcs[i], arcs[i + 1] = [(2 * u - v) % modulus for u, v in zip(a, b)], a
+    return sum(
+        all(
+            sum((c - (i == j)) * x for i, (c, x) in enumerate(zip(arc, top))) % modulus == 0
+            for j, arc in enumerate(arcs)
+        )
+        for top in itertools.product(range(modulus), repeat=strands)
+    )
+
+
+def test_one_propagation_over_z_matches_one_per_modulus():
+    # the rows are propagated over Z once per word and reduced mod each m;
+    # here the words alternate, so each is propagated anew
+    rng = random.Random(20261021)
+    words = [wheel_braid(n) for n in (1, 2, 7, 30)]
+    for _ in range(30):
+        strands = rng.randint(2, 5)
+        length = rng.randint(0, 40)
+        words.append(
+            BraidWord(
+                strands,
+                tuple(rng.choice((1, -1)) * rng.randint(1, strands - 1) for _ in range(length)),
+            )
+        )
+    for word in words:
+        for modulus in (2, 3, 5, 7):
+            assert brute_force_coloring_count(word, modulus) == per_modulus_count(
+                word, modulus
+            ), (word.strands, word.letters, modulus)
+
+
 def test_brute_force_long_word_is_fast():
     # 50^3 assignments on 1600 letters; each assignment pushed through every
     # letter took about 30 s

@@ -298,3 +298,49 @@ def test_cheb_double_index():
         s = cheb_S
         assert s(2 * k) == (s(k) - s(k - 1)) * (s(k) + s(k - 1))
         assert s(2 * k + 1) == s(k) * (s(k + 1) - s(k - 1))
+
+
+@pytest.mark.parametrize(
+    "z", [Z_VAR, Z_OF_T, 3, -2], ids=["z", "1-t-1/t", "at 3", "at -2"]
+)
+def test_a_jumped_value_equals_the_stepped_one(z):
+    # every cold sequence reaches k first, past twice its prefix for k > 4,
+    # so by doubling; the neighbours k + 1 and k - 1, k - 2 then take one
+    # recurrence step from the kept pair (S_{k-1}, S_k), forward and back
+    one = z ** 0
+    stepped = sequences._Chebyshev(one, z)
+    top = 402
+    for k in range(top + 1):  # in order: the prefix grows, nothing jumps
+        stepped[k]
+    assert len(stepped.values) == top + 1 and not stepped.far
+    for k in [*range(41), 85, 135, 400]:
+        cold = sequences._Chebyshev(one, z)
+        for j in (k, k + 1, k - 1, k - 2):
+            if j >= 0:
+                assert cold[j] == stepped[j], (k, j)
+            assert cold.s(-j - 2) == -stepped.s(j), (k, j)
+        if k > 4:
+            assert len(cold.values) == 2 and cold.far
+
+
+def test_a_jump_takes_a_logarithmic_number_of_products(monkeypatch):
+    # S_400 from a cold prefix: nine halvings of one small and two big
+    # products each, against 399 recurrence steps
+    products = []
+    exact = LaurentPoly.__mul__
+
+    def counted(a, b):
+        products.append(None)
+        return exact(a, b)
+
+    monkeypatch.setattr(LaurentPoly, "__mul__", counted)
+    monkeypatch.setattr(LaurentPoly, "__rmul__", counted)
+    cold = sequences._Chebyshev(LaurentPoly.one(), Z_OF_T)
+    cold[400]
+    assert len(products) == 27
+
+
+def test_cheb_T_never_jumps():
+    cold = sequences._Chebyshev(LaurentPoly.const(2), Z_VAR)
+    assert cold[100] == cheb_T(100)
+    assert len(cold.values) == 101 and cold.far is None

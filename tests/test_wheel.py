@@ -194,13 +194,13 @@ def test_report_carries_the_wheel_module():
 
 @pytest.mark.parametrize("n", [4, 7, 12])
 def test_corrupted_closed_matrix_fails_the_check(n, monkeypatch, capsys):
-    # A_n with g_n^2 added to one entry no longer presents the Fox group at
-    # t = -1, and that route alone disagrees
+    # A_n at t = -1 with g_n(-1)^2 added to one entry no longer presents the
+    # Fox group, and that route alone disagrees
     build = wheel.wheel_abf_matrix_closed
 
-    def corrupted(k):
-        (a, b), (c, d) = build(k).entries()
-        return Matrix([[a + wheel_g(k) * wheel_g(k), b], [c, d]])
+    def corrupted(k, ring):
+        (a, b), (c, d) = build(k, ring).entries()
+        return Matrix([[a + wheel_g(k, ring) * wheel_g(k, ring), b], [c, d]])
 
     monkeypatch.setattr(wheel, "wheel_abf_matrix_closed", corrupted)
     assert not cross_verify(n).all_consistent
