@@ -40,6 +40,10 @@ def corpus():
     for n in [*range(1, 41), 100, 171, 270]:
         for fmt in ("text", "json"):
             yield ["wheel", str(n), "--moduli", "2", "3", "5", "--format", fmt]
+    # brute-force corners: a repeated modulus, no modulus after --moduli, one even modulus
+    for n, moduli in (("6", ["2", "2", "5"]), ("6", []), ("7", ["4"])):
+        for fmt in ("text", "json"):
+            yield ["wheel", n, "--moduli", *moduli, "--format", fmt]
     for fmt in ("text", "json", "csv", "markdown"):
         yield ["table", "--from", "1", "--to", "60", "--format", fmt]
     for fmt in ("text", "json"):

@@ -1,7 +1,8 @@
 """The CLI answers its digest corpus byte for byte as recorded.
 
 record_cli_digests.py holds the corpus (wheel indices 1-40, 100, 171 and
-270 with brute force mod 2, 3 and 5, table 1-60 in every format, verify,
+270 with brute force mod 2, 3 and 5, wheel 6 mod 2, 2 and 5, wheel 6 with
+no modulus after --moduli, wheel 7 mod 4, table 1-60 in every format, verify,
 240 seeded colorgroup/abf words, and 18 refusals and help requests) and
 wrote cli_digests.json; a change that must keep stdout, stderr and the
 exit code leaves this test passing.
