@@ -51,7 +51,6 @@ from .sequences import (
     solve_chebyshev_recurrence,
 )
 from .wheel import (
-    BruteForceCheck,
     WheelReport,
     cross_verify,
     fibonacci_relation_matrix,
@@ -65,7 +64,6 @@ __all__ = [
     "AbelianGroup",
     "BraidParseError",
     "BraidWord",
-    "BruteForceCheck",
     "ColoringResult",
     "EnumerationLimitError",
     "IdentityCheck",

@@ -123,6 +123,7 @@ def _cmd_wheel(args) -> tuple[dict, list[str]]:
     if any(m < 2 for m in moduli):
         raise _UsageError("every modulus must be at least 2")
     report = cross_verify(args.n, brute_force_moduli=moduli)
+    passed = {c.name: c.passed for c in report.checks}
     module = report.module
     gens = _ideal_gens_payload(module.ideal_gens)
     det_a_prime, alexander = str(module.det_a_prime), str(module.alexander)
@@ -138,14 +139,14 @@ def _cmd_wheel(args) -> tuple[dict, list[str]]:
             "ideal_gens_at_minus_one": [str(v) for v in report.abf_gens_at_minus_one],
             "brute_force": [
                 {
-                    "modulus": c.modulus,
-                    "count": str(c.count),
-                    "predicted": str(c.predicted),
-                    "ok": c.ok,
+                    "modulus": m,
+                    "count": str(count),
+                    "predicted": str(predicted),
+                    "ok": passed[f"brute_force_mod_{m}"],
                 }
-                for c in report.brute_force_checks
+                for m, count, predicted in report.brute_force
             ],
-            "goeritz_ok": report.goeritz_ok,
+            "goeritz_ok": passed["goeritz"],
         },
         "consistency": report.all_consistent,
     }
@@ -158,12 +159,10 @@ def _cmd_wheel(args) -> tuple[dict, list[str]]:
         f"alexander polynomial: {alexander}",
         f"generators at t=-1: {list(report.abf_gens_at_minus_one)}",
     ]
-    for c in report.brute_force_checks:
-        verdict = "ok" if c.ok else "MISMATCH"
-        lines.append(
-            f"brute force mod {c.modulus}: {c.count} colorings, predicted {c.predicted} [{verdict}]"
-        )
-    lines.append(f"goeritz presentation agrees: {report.goeritz_ok}")
+    for m, count, predicted in report.brute_force:
+        verdict = "ok" if passed[f"brute_force_mod_{m}"] else "MISMATCH"
+        lines.append(f"brute force mod {m}: {count} colorings, predicted {predicted} [{verdict}]")
+    lines.append(f"goeritz presentation agrees: {passed['goeritz']}")
     lines.append(f"all routes consistent: {report.all_consistent}")
     return document, lines
 

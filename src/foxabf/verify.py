@@ -123,11 +123,12 @@ def wheel_matrix_routes_check(max_n: int) -> IdentityCheck:
 
 def wheel_cross_verify_check(max_n: int) -> IdentityCheck:
     """cross_verify, with brute force mod 2, 3 and 5, is consistent for
-    every n <= max_n."""
-    return _run_cases(
-        "wheel_cross_verify",
-        (
-            (f"n={n}", cross_verify(n, brute_force_moduli=(2, 3, 5)).all_consistent)
-            for n in range(1, max_n + 1)
-        ),
-    )
+    every n <= max_n; a counterexample names the checks that failed."""
+
+    def cases():
+        for n in range(1, max_n + 1):
+            checks = cross_verify(n, brute_force_moduli=(2, 3, 5)).checks
+            failed = ", ".join(c.name for c in checks if not c.passed)
+            yield (f"n={n} ({failed})", False) if failed else (f"n={n}", True)
+
+    return _run_cases("wheel_cross_verify", cases())

@@ -13,6 +13,10 @@ off.  Evaluation at t = -1 is a ring map (Lickorish, An Introduction to
 Knot Theory, ch. 6) that sends z = 1 - t - t^{-1} to 3, so A_n(-1) is
 built over the integers from S_k(3), by the same W(p, q) and g_n as the
 Laurent A_n, and no Laurent A_n is built.
+
+Each comparison is a named IdentityCheck of one case, the same verdict
+record as every verify suite, so a failed report says which routes
+disagreed.
 """
 
 from __future__ import annotations
@@ -34,22 +38,20 @@ from .coloring import (
     coloring_group,
 )
 from .ring import AbelianGroup, Matrix, snf
-from .sequences import cheb_S_at, fib, lucas
+from .sequences import _run_cases, cheb_S_at, fib, lucas
 
 
-class BruteForceCheck(namedtuple("BruteForceCheck", "modulus count predicted")):
+class WheelReport(
+    namedtuple(
+        "WheelReport",
+        "n closed_form_group burau_group module abf_gens_at_minus_one brute_force checks",
+    )
+):
     __slots__ = ()
 
     @property
-    def ok(self) -> bool:
-        return self.count == self.predicted
-
-
-WheelReport = namedtuple(
-    "WheelReport",
-    "n closed_form_group burau_group module abf_gens_at_minus_one"
-    " brute_force_checks goeritz_ok all_consistent",
-)
+    def all_consistent(self) -> bool:
+        return all(c.passed for c in self.checks)
 
 
 def fox_closed_form(n: int) -> AbelianGroup:
@@ -116,33 +118,25 @@ def cross_verify(n: int, brute_force_moduli: tuple[int, ...] = ()) -> WheelRepor
     gens_at = tuple(abs(g.at_minus_one()) for g in module.ideal_gens)
     gens_torsion = tuple(sorted(v for v in gens_at if v > 1))
 
-    checks = []
-    for modulus in brute_force_moduli:
-        checks.append(
-            BruteForceCheck(
-                modulus=modulus,
-                count=brute_force_coloring_count(word, modulus),
-                predicted=coloring_count_from_group(burau_group, modulus),
-            )
-        )
-    goeritz_ok = goeritz_equivalence_check(n)
-
-    consistent = (
-        closed == burau_group
-        and burau_group == drop_middle_group
-        and abf_group == closed
-        and gens_torsion == closed.torsion
-        and bareiss_det == module.det_a_prime
-        and all(check.ok for check in checks)
-        and goeritz_ok
+    brute_force = tuple(  # (modulus, count, predicted)
+        (m, brute_force_coloring_count(word, m), coloring_count_from_group(burau_group, m))
+        for m in brute_force_moduli
     )
+    comparisons = [
+        ("closed_form_vs_burau", closed == burau_group),
+        ("drop_index_invariance", burau_group == drop_middle_group),
+        ("abf_matrix_at_minus_one", abf_group == closed),
+        ("ideal_gens_at_minus_one", gens_torsion == closed.torsion),
+        ("bareiss_det_a_prime", bareiss_det == module.det_a_prime),
+        *((f"brute_force_mod_{m}", count == predicted) for m, count, predicted in brute_force),
+        ("goeritz", goeritz_equivalence_check(n)),
+    ]
     return WheelReport(
         n=n,
         closed_form_group=closed,
         burau_group=burau_group,
         module=module,
         abf_gens_at_minus_one=gens_at,
-        brute_force_checks=tuple(checks),
-        goeritz_ok=goeritz_ok,
-        all_consistent=consistent,
+        brute_force=brute_force,
+        checks=tuple(_run_cases(name, [(f"n={n}", ok)]) for name, ok in comparisons),
     )

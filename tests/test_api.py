@@ -2,17 +2,16 @@
 function in the package is entered by some CLI request."""
 
 import ast
-import contextlib
-import io
+import json
 import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
 import foxabf
-from foxabf import cli
 
 
 def test_every_exported_name_resolves():
@@ -47,10 +46,6 @@ _RECORDS = {
         lambda: foxabf.IdentityCheck("fib_doubling", 40),
         "IdentityCheck(name='fib_doubling', cases=40, counterexample=None)",
     ),
-    "BruteForceCheck": (
-        lambda: foxabf.BruteForceCheck(5, 25, 25),
-        "BruteForceCheck(modulus=5, count=25, predicted=25)",
-    ),
     "WheelReport": (
         lambda: foxabf.WheelReport(
             n=1,
@@ -58,15 +53,13 @@ _RECORDS = {
             burau_group=foxabf.AbelianGroup(),
             module=None,
             abf_gens_at_minus_one=(1, 1),
-            brute_force_checks=(foxabf.BruteForceCheck(2, 2, 2),),
-            goeritz_ok=True,
-            all_consistent=True,
+            brute_force=((2, 2, 2),),
+            checks=(foxabf.IdentityCheck("brute_force_mod_2", 1),),
         ),
         "WheelReport(n=1, closed_form_group=AbelianGroup(torsion=(), free_rank=0), "
         "burau_group=AbelianGroup(torsion=(), free_rank=0), module=None, "
-        "abf_gens_at_minus_one=(1, 1), "
-        "brute_force_checks=(BruteForceCheck(modulus=2, count=2, predicted=2),), "
-        "goeritz_ok=True, all_consistent=True)",
+        "abf_gens_at_minus_one=(1, 1), brute_force=((2, 2, 2),), "
+        "checks=(IdentityCheck(name='brute_force_mod_2', cases=1, counterexample=None),))",
     ),
 }
 
@@ -125,10 +118,12 @@ def test_record_validation_messages(make, message):
 
 _PACKAGE = Path(foxabf.__file__).parent
 
-# A small fixed corpus: every subcommand in text and JSON, a split word, a
-# JSON word, refusals of a bad letter, an over-cap modulus and a huge index,
-# and help.
+# A small fixed corpus: a wheel index that cold caches reach by doubling
+# Chebyshev indices, every subcommand in text and JSON, a split word, a JSON
+# word, refusals of a bad letter, an over-cap modulus and a huge index, and
+# help.
 _REACH_CORPUS = [
+    ["wheel", "100"],
     ["verify", "--max-n", "3", "--max-index", "12"],
     ["wheel", "4", "--moduli", "2", "3"],
     ["wheel", "5", "--format", "json"],
@@ -157,28 +152,44 @@ def _defined_functions() -> set[tuple[str, str]]:
     return defined
 
 
+# Runs the corpus of argv[1] through cli.main and prints, as JSON, the
+# (file name, function name) of every package function it entered.
+_REACH_SCRIPT = """
+import contextlib, io, json, os, sys
+import foxabf
+from foxabf import cli
+
+prefix = os.path.dirname(foxabf.__file__) + os.sep  # built once: per call is slow
+entered = set()
+
+def record(frame, event, arg):
+    code = frame.f_code
+    if code.co_filename.startswith(prefix):
+        entered.add((code.co_filename[len(prefix) :], code.co_name))
+    # returning None traces no lines, only further calls
+
+sys.settrace(record)
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            cli.main(argv)
+        except SystemExit:
+            pass
+sys.settrace(None)
+print(json.dumps(sorted(entered)))
+"""
+
+
 def test_every_function_is_entered_by_a_request():
-    prefix = str(_PACKAGE) + os.sep  # built once: resolving paths per call is slow
-    entered = set()
-
-    def record(frame, event, arg):
-        code = frame.f_code
-        if code.co_filename.startswith(prefix):
-            entered.add((code.co_filename[len(prefix) :], code.co_name))
-        # returning None traces no lines, only further calls
-
-    previous = sys.gettrace()
-    sys.settrace(record)
-    try:
-        for argv in _REACH_CORPUS:
-            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(
-                io.StringIO()
-            ):
-                try:
-                    cli.main(argv)
-                except SystemExit:
-                    pass
-    finally:
-        sys.settrace(previous)
+    # a fresh interpreter starts every sequence cache cold, so a function
+    # that only a cold request enters is seen whatever ran before this test
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", _REACH_SCRIPT, json.dumps(_REACH_CORPUS)],
+        env={**os.environ, "PYTHONPATH": str(_PACKAGE.parent)},
+        capture_output=True,
+        text=True,
+    )
+    assert result.returncode == 0, result.stderr
+    entered = {tuple(pair) for pair in json.loads(result.stdout)}
     missing = sorted(_defined_functions() - entered)
     assert not missing, missing

@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from foxabf import cli, wheel
+from foxabf import cli, verify, wheel
 from foxabf.alexander import wheel_g, wheel_module
 from foxabf.braid import wheel_braid
 from foxabf.coloring import coloring_group
@@ -168,22 +168,33 @@ def test_cross_verify_wheel_six():
     assert report.closed_form_group.torsion == (8, 40)
     assert report.burau_group.torsion == (8, 40)
     assert sorted(report.abf_gens_at_minus_one) == [8, 40]
-    assert all(c.ok for c in report.brute_force_checks)
+    assert report.brute_force == ((2, 8, 8), (5, 25, 25), (8, 512, 512))
+    assert [c.name for c in report.checks] == [
+        "closed_form_vs_burau",
+        "drop_index_invariance",
+        "abf_matrix_at_minus_one",
+        "ideal_gens_at_minus_one",
+        "bareiss_det_a_prime",
+        "brute_force_mod_2",
+        "brute_force_mod_5",
+        "brute_force_mod_8",
+        "goeritz",
+    ]
+    assert all(c.passed and c.cases == 1 for c in report.checks)
 
 
 def test_cross_verify_unknot():
     report = cross_verify(1, brute_force_moduli=(2, 3))
     assert report.all_consistent
     assert report.closed_form_group == AbelianGroup()
-    assert [c.count for c in report.brute_force_checks] == [2, 3]
+    assert [count for _, count, _ in report.brute_force] == [2, 3]
 
 
 def test_cross_verify_wheel_four_counts():
     # m * gcd(3, m) * gcd(15, m): 27 for m = 3, 25 for m = 5
     report = cross_verify(4, brute_force_moduli=(3, 5))
     assert report.all_consistent
-    assert [(c.modulus, c.count) for c in report.brute_force_checks] == [(3, 27), (5, 25)]
-    assert [c.predicted for c in report.brute_force_checks] == [27, 25]
+    assert report.brute_force == ((3, 27, 27), (5, 25, 25))
 
 
 def test_report_carries_the_wheel_module():
@@ -192,20 +203,110 @@ def test_report_carries_the_wheel_module():
         assert module == wheel_module(n)
 
 
-@pytest.mark.parametrize("n", [4, 7, 12])
-def test_corrupted_closed_matrix_fails_the_check(n, monkeypatch, capsys):
+def _plus_g_squared(build):
     # A_n at t = -1 with g_n(-1)^2 added to one entry no longer presents the
-    # Fox group, and that route alone disagrees
-    build = wheel.wheel_abf_matrix_closed
-
+    # Fox group
     def corrupted(k, ring):
         (a, b), (c, d) = build(k, ring).entries()
         return Matrix([[a + wheel_g(k, ring) * wheel_g(k, ring), b], [c, d]])
 
-    monkeypatch.setattr(wheel, "wheel_abf_matrix_closed", corrupted)
-    assert not cross_verify(n).all_consistent
-    assert cli.main(["wheel", str(n)]) == 1
+    return corrupted
+
+
+def _free_summand(drop):
+    """Corrupts coloring_group: the group of one drop index gains a free Z."""
+
+    def corrupt(real):
+        def corrupted(word, drop_index=None):
+            result = real(word, drop_index)
+            if drop_index != drop:
+                return result
+            group = result.group
+            return result._replace(group=AbelianGroup(group.torsion, group.free_rank + 1))
+
+        return corrupted
+
+    return corrupt
+
+
+def _rows_swapped(build):
+    def corrupted(p, q, *ring):
+        first, second = build(p, q, *ring).entries()
+        return Matrix([list(second), list(first)])
+
+    return corrupted
+
+
+def _next_index(real):
+    return lambda k: real(k + 1)
+
+
+# (name in foxabf.wheel, corrupted route from the real one, n, the checks
+# that read that route's value and so fail)
+_CORRUPTED_ROUTES = [
+    *(
+        pytest.param(
+            "wheel_abf_matrix_closed", _plus_g_squared, n, ["abf_matrix_at_minus_one"], id=str(n)
+        )
+        for n in (4, 7, 12)
+    ),
+    # the predicted brute-force counts read the default-drop group too
+    pytest.param(
+        "coloring_group",
+        _free_summand(None),
+        6,
+        [
+            "closed_form_vs_burau",
+            "drop_index_invariance",
+            "brute_force_mod_2",
+            "brute_force_mod_3",
+        ],
+        id="default-drop",
+    ),
+    pytest.param(
+        "coloring_group", _free_summand(2), 5, ["drop_index_invariance"], id="middle-drop"
+    ),
+    pytest.param(
+        "fox_closed_form",
+        _next_index,
+        7,
+        ["closed_form_vs_burau", "abf_matrix_at_minus_one", "ideal_gens_at_minus_one"],
+        id="closed-form",
+    ),
+    pytest.param("_wheel_matrix", _rows_swapped, 8, ["bareiss_det_a_prime"], id="bareiss-det"),
+    pytest.param(
+        "wheel_module",
+        _next_index,
+        7,
+        ["ideal_gens_at_minus_one", "bareiss_det_a_prime"],
+        id="module",
+    ),
+    pytest.param(
+        "brute_force_coloring_count",
+        lambda real: lambda word, m: real(word, m) + (m == 3),
+        4,
+        ["brute_force_mod_3"],
+        id="brute-force",
+    ),
+    pytest.param(
+        "goeritz_equivalence_check", lambda real: lambda k: False, 3, ["goeritz"], id="goeritz"
+    ),
+]
+
+
+@pytest.mark.parametrize("route, corrupt, n, failed", _CORRUPTED_ROUTES)
+def test_corrupted_closed_matrix_fails_the_check(route, corrupt, n, failed, monkeypatch, capsys):
+    # a corrupted route fails exactly the checks that read it, in the report,
+    # in the CLI's exit code and in verify's counterexample
+    monkeypatch.setattr(wheel, route, corrupt(getattr(wheel, route)))
+    report = cross_verify(n, (2, 3))
+    assert [c.name for c in report.checks if not c.passed] == failed
+    assert not report.all_consistent
+    assert cli.main(["wheel", str(n), "--moduli", "2", "3"]) == 1
     assert "all routes consistent: False" in capsys.readouterr().out
+    counterexample = verify.wheel_cross_verify_check(n).counterexample
+    named = counterexample.partition(" (")[2].removesuffix(")").split(", ")
+    assert set(failed) <= set(named), counterexample
 
 
 def test_cross_verify_rejects_bad_n():
