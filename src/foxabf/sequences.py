@@ -12,19 +12,19 @@ substituted variants evaluate at z = 1 - t - t^{-1}.
 Every Chebyshev sequence is a _Chebyshev object that runs the recurrence
 from x_0 and x_1 = z: module-level objects for S_n and T_n in z, for the
 substituted S_n and for S_n at each integer base cheb_S_at has seen grow on
-demand; the recurrence solver builds one per call.  A caller that reads in
-order grows the prefix one step at a time.  An S index past twice the
-prefix is reached by doubling instead (Mason & Handscomb, Chebyshev
-Polynomials, 2003):
+demand; the recurrence solver builds one per call.  Each keeps one store of
+finished values, and each new value is one recurrence step, up or down,
+from two known neighbours, or, for an S index past twice the run of values
+known from 0, one doubling identity away from known values (Mason &
+Handscomb, Chebyshev Polynomials, 2003):
 
     S_{2m} = S_m^2 - S_{m-1}^2,    S_{2m-1} = S_{m-1}*(S_m - S_{m-2}),
 
 so a cold wheel request, which reads S_k near k = n/2 only, takes
-O(log n) products instead of n/2 steps.  The pairs so reached are kept
-beside the prefix, one recurrence step from their neighbours either way;
-identity_suite checks both identities as cheb_double_index_even/odd, and
-the wheel module's Euclidean descent, the recurrence run backwards,
-re-checks every value it starts from.  T never jumps.
+O(log n) products instead of n/2 steps.  identity_suite checks both
+identities as cheb_double_index_even/odd, and the wheel module's Euclidean
+descent, the recurrence run backwards, re-checks every value it starts
+from.  T never jumps.
 """
 
 from __future__ import annotations
@@ -65,58 +65,49 @@ class _Chebyshev:
     """x_0, x_1 = z and x_k = z*x_{k-1} - x_{k-2}, grown on demand.
 
     With x_0 = 1 this is S_k(z), with x_0 = 2 it is T_k(z); z may be any
-    ring element (int or LaurentPoly).  The values tuple is a prefix
-    x_0, x_1, ..., rebound whole, so concurrent readers only ever see a
-    fully built prefix.
+    ring element (int or LaurentPoly).  ``known`` maps each index computed
+    so far to its value, and every index 0..``top`` is in it.  An index is
+    reached by the first of: one recurrence step from two known neighbours
+    on the same side, up or down; for S only, an index past 2*top by one
+    of the module's doubling identities, its operands read the same way;
+    otherwise every index from top + 1 up to it, in order.  T never jumps.
 
-    An S index past twice the prefix is reached by doubling instead: the
-    pair (x_{k-1}, x_k) comes from (x_{m-1}, x_m), m = ceil(k/2), and
-    x_{m-2} = z*x_{m-1} - x_m by the module's two identities, two big
-    products a halving.  Every pair so reached is kept in ``far``,
-    beside the prefix, and an index one recurrence step from two kept
-    neighbours, in either direction, takes that one step; ``far`` only ever
-    gains finished values.  T never jumps.
+    A value enters ``known`` only when finished and never changes, and
+    ``top`` is advanced from a local copy, so concurrent readers see only
+    finished values and a ``top`` whose indices are all known.
     """
 
     def __init__(self, x0, z):
         self.z = z
-        self.values = (x0, z)
-        self.far = {} if x0 == 1 else None  # index -> S value past the prefix
+        self.known = {0: x0, 1: z}
+        self.top = 1
+        self.jumps = x0 == 1  # S doubles to far indices
 
     def __getitem__(self, k: int):
-        values = self.values
-        if k < len(values):
-            return values[k]
-        far, z = self.far, self.z
-        if far is not None:
-            if k in far:
-                return far[k]
-            for a, b in ((k - 1, k - 2), (k + 1, k + 2)):
-                if a in far and b in far:  # one step from two kept neighbours
-                    far[k] = value = z * far[a] - far[b]
-                    return value
-            if k > 2 * len(values):
-                # halve k until (S_{m-1}, S_m) is known, then double back up
-                chain, m = [], k
-                while m >= len(values) and not (m in far and m - 1 in far):
-                    chain.append(m)
-                    m = (m + 1) // 2
-                known = values if m < len(values) else far
-                s1, s2 = known[m - 1], known[m]
-                for j in reversed(chain):  # (s1, s2) = (S_{m-1}, S_m), m = ceil(j/2)
-                    s0 = z * s1 - s2  # S_{m-2}
-                    odd = s1 * (s2 - s0)  # S_{2m-1}
-                    if j % 2:  # j = 2m - 1: (S_{2m-2}, S_{2m-1})
-                        s1, s2 = (s1 - s0) * (s1 + s0), odd
-                    else:  # j = 2m: (S_{2m-1}, S_{2m})
-                        s1, s2 = odd, (s2 - s1) * (s2 + s1)
-                    far[j - 1], far[j] = s1, s2
-                return s2
-        ext = list(values)
-        while len(ext) <= k:
-            ext.append(z * ext[-1] - ext[-2])
-        self.values = values = tuple(ext)
-        return values[k]
+        known, z = self.known, self.z
+        if k in known:
+            return known[k]
+        if k - 1 in known and k - 2 in known:
+            value = z * known[k - 1] - known[k - 2]
+        elif k + 1 in known and k + 2 in known:
+            value = z * known[k + 1] - known[k + 2]
+        elif self.jumps and k > 2 * self.top:
+            m = (k + 1) // 2
+            s1, s2 = self[m - 1], self[m]
+            if k % 2:  # S_{2m-1} = S_{m-1}*(S_m - S_{m-2})
+                value = s1 * (s2 - self[m - 2])
+            else:  # S_{2m} = (S_m - S_{m-1})*(S_m + S_{m-1})
+                value = (s2 - s1) * (s2 + s1)
+        else:
+            for j in range(self.top + 1, k):
+                self[j]
+            value = z * known[k - 1] - known[k - 2]
+        known[k] = value
+        top = self.top
+        while top + 1 in known:
+            top += 1
+        self.top = top
+        return value
 
     def s(self, n: int):
         """x_n read as S_n for every integer n: S_{-1} = 0, S_{-n-2} = -S_n."""
@@ -178,7 +169,6 @@ def solve_chebyshev_recurrence(p0, p1, cs: Sequence, z, n: int):
     if n == 1:
         return p1
     svals = _Chebyshev(z ** 0, z)
-    # S_0, S_1, ... in order, so the sequence grows its prefix and never jumps
     result = svals[0] * cs[n - 2]  # c_{n-j} lives at cs[n-j-2]
     for j in range(1, n - 1):
         result = result + svals[j] * cs[n - j - 2]

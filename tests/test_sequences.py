@@ -2,6 +2,8 @@
 identity suite."""
 
 import random
+import sys
+import threading
 
 import pytest
 
@@ -304,28 +306,30 @@ def test_cheb_double_index():
     "z", [Z_VAR, Z_OF_T, 3, -2], ids=["z", "1-t-1/t", "at 3", "at -2"]
 )
 def test_a_jumped_value_equals_the_stepped_one(z):
-    # every cold sequence reaches k first, past twice its prefix for k > 4,
-    # so by doubling; the neighbours k + 1 and k - 1, k - 2 then take one
-    # recurrence step from the kept pair (S_{k-1}, S_k), forward and back
+    # a cold sequence reaches k > 4 by doubling, never reading k - 1; its
+    # neighbours k + 1, k - 1 and k - 2 and their mirrors S_{-j-2} = -S_j
+    # then come by a step or a doubling from what the jump left known
     one = z ** 0
     stepped = sequences._Chebyshev(one, z)
     top = 402
-    for k in range(top + 1):  # in order: the prefix grows, nothing jumps
+    for k in range(top + 1):  # in order: every read is one step up from top
         stepped[k]
-    assert len(stepped.values) == top + 1 and not stepped.far
+    assert stepped.top == top and stepped.known.keys() == set(range(top + 1))
     for k in [*range(41), 85, 135, 400]:
         cold = sequences._Chebyshev(one, z)
+        assert cold[k] == stepped[k], k
+        if k > 4:
+            assert k - 1 not in cold.known, k
         for j in (k, k + 1, k - 1, k - 2):
             if j >= 0:
                 assert cold[j] == stepped[j], (k, j)
             assert cold.s(-j - 2) == -stepped.s(j), (k, j)
-        if k > 4:
-            assert len(cold.values) == 2 and cold.far
+        assert cold.known.keys() >= set(range(cold.top + 1)), k
 
 
 def test_a_jump_takes_a_logarithmic_number_of_products(monkeypatch):
-    # S_400 from a cold prefix: nine halvings of one small and two big
-    # products each, against 399 recurrence steps
+    # S_400 from a cold sequence: one product for each value it stores,
+    # S_2..S_13 and 12 values at the halvings of 400, against 399 steps
     products = []
     exact = LaurentPoly.__mul__
 
@@ -337,10 +341,85 @@ def test_a_jump_takes_a_logarithmic_number_of_products(monkeypatch):
     monkeypatch.setattr(LaurentPoly, "__rmul__", counted)
     cold = sequences._Chebyshev(LaurentPoly.one(), Z_OF_T)
     cold[400]
-    assert len(products) == 27
+    assert len(products) == 24
 
 
 def test_cheb_T_never_jumps():
     cold = sequences._Chebyshev(LaurentPoly.const(2), Z_VAR)
     assert cold[100] == cheb_T(100)
-    assert len(cold.values) == 101 and cold.far is None
+    assert cold.top == 100 and cold.known.keys() == set(range(101))
+
+
+def _stepped_s(z, top):
+    """S_{-top-2}..S_top by the plain two-term loop, keyed by index."""
+    prev, cur = z - z, z ** 0  # S_{-1}, S_0
+    s = {-1: prev}
+    for k in range(top + 1):
+        s[k], s[-k - 2] = cur, -cur
+        prev, cur = cur, z * cur - prev
+    return s
+
+
+def _random_reads(rng, top):
+    """60 indices in -top-2..top: repeats, negative indices, far jumps and
+    gaps just above the highest index read so far."""
+    reads = [0]
+    for _ in range(59):
+        roll = rng.random()
+        if roll < 0.2:
+            k = rng.choice(reads)
+        elif roll < 0.35:
+            k = rng.randrange(-top - 2, 0)
+        elif roll < 0.5:
+            k = rng.randrange(top // 2, top + 1)
+        else:
+            k = min(max(reads) + rng.randrange(1, 12), top)
+        reads.append(k)
+    return reads
+
+
+_ORDER_BASES = pytest.mark.parametrize(
+    "z, top",
+    [(Z_VAR, 120), (Z_OF_T, 120), (3, 400), (-2, 400), (0, 400)],
+    ids=["z", "1-t-1/t", "at 3", "at -2", "at 0"],
+)
+
+
+@_ORDER_BASES
+@pytest.mark.parametrize("seed", range(4))
+def test_any_read_order_gives_the_stepped_values(z, top, seed):
+    expected = _stepped_s(z, top)
+    cold = sequences._Chebyshev(z ** 0, z)
+    for k in _random_reads(random.Random(seed), top):
+        assert cold.s(k) == expected[k], (seed, k)
+        assert all(j in cold.known for j in range(cold.top + 1)), (seed, k)
+    assert all(value == expected[k] for k, value in cold.known.items())
+
+
+@_ORDER_BASES
+def test_threads_sharing_a_cold_sequence_read_the_stepped_values(z, top):
+    expected = _stepped_s(z, top)
+    shared = sequences._Chebyshev(z ** 0, z)
+    start = threading.Barrier(4)
+    wrong = []
+
+    def reader(seed):
+        reads = _random_reads(random.Random(seed), top)
+        start.wait()
+        for k in reads:
+            if shared.s(k) != expected[k]:
+                wrong.append((seed, k))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often, inside reads too
+    try:
+        threads = [threading.Thread(target=reader, args=(seed,)) for seed in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+    finally:
+        sys.setswitchinterval(interval)
+    assert wrong == []
+    assert all(j in shared.known for j in range(shared.top + 1))
+    assert all(value == expected[k] for k, value in shared.known.items())
