@@ -41,24 +41,25 @@ presentation:
   the Burau-route reduced matrix (middle strand dropped).
 
 wheel_module builds -A'_n, replays the column operations that bring the
-first row to (g_{n+1}, g_{n-1}), and runs the Euclidean descent: n//2 - 1
-steps of the Chebyshev recurrence col1, col2 <- col2, z*col2 - col1, then
-one cleanup (col1 -= u*col2, swap) that takes the first row from (u, 1) to
-(1, 0).  A step multiplies each row by M = [[0, -1], [1, z]].  After the
-replay the second row is the first times N = [[1-t, -t], [t, -t^2]], and
+first row to (g_{n+1}, g_{n-1}), and runs the Euclidean descent: steps of
+the Chebyshev recurrence col1, col2 <- col2, z*col2 - col1, the recurrence
+run backwards, so one step takes row n's first row onto row n - 2's.  The
+first row steps down until it meets a known row, at the latest row 1,
+(g_2, g_0) = (1, 0), or row 2, (g_3, g_1) = (1 + z, 1), and must equal it.
+A step multiplies each row by M = [[0, -1], [1, z]].  After the replay the
+second row is the first times N = [[1-t, -t], [t, -t^2]], and
 N = (1-t)*Id + t*M (since (1-t) + t*z = -t^2) commutes with M, so only the
-first row descends and the second is its end times N.  The column
-operations have the unit determinants -t (replay), 1 (step) and -1
-(cleanup), so det A'_n is read off the end, diag-like [[1, 0], [*, y]],
-and checked against its closed form; no determinant is taken.  The result
-is the cyclic decomposition with ideal generators (g_n, det(A'_n) * g_n),
-whose normalized product is the Alexander polynomial: det A_n =
-g_n^2 * det(A'_n) in any commutative ring, so no A_n is built.
+first row descends and the second is its end times N.  The replay has the
+unit determinant -t and a step 1, so det A'_n is that of row 1 or row 2:
+1 for odd n and 3 - t - t^{-1} for even n; no determinant is taken.  Both
+base rows hold a unit entry, so the result is the cyclic decomposition
+with ideal generators (g_n, det(A'_n) * g_n), whose normalized product is
+the Alexander polynomial: det A_n = g_n^2 * det(A'_n) in any commutative
+ring, so no A_n is built.  wheel_modules, which serves a table, stops each
+row's descent at the row two below, so in a contiguous range only the
+lowest row of each parity descends to its base row.
 
-The descent is the recurrence run backwards, so one step takes row n's
-first row onto row n - 2's: wheel_modules, which serves a table, runs the
-full descent for the lowest row of each parity only and one checked step
-for every row above.  W(p, q), g_n and the closed A_n take a ring, as
+W(p, q), g_n and the closed A_n take a ring, as
 braid._burau_product does: Z[t^(+/-1)] by default, or its image at t = -1,
 where t = t^{-1} = -1 and z = 3, so S_k is read as S_k(3).
 wheel.cross_verify builds A_n once, over the integers at t = -1, checks
@@ -78,6 +79,9 @@ from .sequences import Z_OF_T, cheb_S_at, cheb_S_subst
 _ONE = LaurentPoly.one()
 _ZERO = LaurentPoly.zero()
 _DET_A_PRIME = (Z_OF_T + 2, _ONE)  # det A'_n for even n (3 - t - t^-1) and odd n
+# the replayed first rows (g_2, g_0) of n = 1 and (g_3, g_1) of n = 2, where
+# every descent ends
+_BASE_ROWS = {1: (_ONE, _ZERO), 2: (Z_OF_T + 1, _ONE)}
 
 
 # Ring data (t, t^-1, k -> S_k at z = 1 - t - t^-1) over Z[t^(+/-1)] and at
@@ -101,7 +105,8 @@ Alexander polynomial of a general braid closure."""
 WheelModule = namedtuple("WheelModule", "alexander ideal_gens det_a_prime")
 WheelModule.__doc__ = """Cyclic decomposition of the wheel module: normalized
 Alexander polynomial, the ordered pair of cyclic ideal generators (g, h)
-with g | h, and the determinant of A'_n = A_n / (-g_n)."""
+with g | h, and the determinant of A'_n = A_n / (-g_n), that of the base row
+(1 or 2) where the Euclidean descent ends."""
 
 
 def general_presentation(word: BraidWord) -> ModulePresentation:
@@ -192,64 +197,32 @@ def _step(x1: LaurentPoly, x2: LaurentPoly) -> tuple[LaurentPoly, LaurentPoly]:
     return x2, Z_OF_T * x2 - x1
 
 
-def _descend(first: tuple[LaurentPoly, LaurentPoly], n: int) -> tuple[tuple, tuple]:
-    """The columns of -A'_n after the replay (first row ``first``) and the
-    n//2 - 1 descent steps, before the cleanup."""
-    # the steps end at (z, 1) for odd n >= 3 and (1 + z, 1) for even n
-    # (n = 1 starts at (1, 0)).  N commutes with every step, so the second
-    # row is the first row's end times N
-    x1, x2 = first
-    for _ in range(n // 2 - 1):
-        x1, x2 = _step(x1, x2)
-    y1, y2 = _times_n(x1, x2)
-    return (x1, y1), (x2, y2)
-
-
-def _descended_det(first: tuple[LaurentPoly, LaurentPoly], n: int) -> LaurentPoly:
-    """det A'_n read off the full descent and the cleanup, checked against
-    the closed form."""
-    (x1, y1), (x2, y2) = _descend(first, n)
-    if (x1, x2) == (_ONE, _ZERO):
-        # n = 1, no cleanup: det [[1, 0], [y1, y2]] = y2 = -t * det A'_n,
-        # the replay's factor
-        det = -y2.shift(-1)
-    elif x2 == _ONE:
-        # the cleanup col1, col2 <- col2, col1 - x1*col2 (det -1) takes
-        # (x1, 1) to (1, 0) and leaves [[1, 0], [y2, y]], y = t * det A'_n
-        det = (y1 - x1 * y2).shift(-1)
-    else:
-        raise InternalConsistencyError(f"Euclidean descent did not reach (1, 0) for n = {n}")
-    if det != _DET_A_PRIME[n % 2]:
-        raise InternalConsistencyError(
-            f"Euclidean reduction of the wheel matrix lost the determinant at n = {n}"
-        )
-    return det
-
-
 def wheel_modules(indices: Iterable[int]) -> Iterator[WheelModule]:
     """wheel_module(n) for each n of ``indices``, in order.
 
     Every row builds -A'_n = W(g_{n+1}, g_{n-1}) and replays its columns.
     One descent step takes the first row (g_{n+1}, g_{n-1}) to
-    (g_{n-1}, g_{n-3}), row n - 2's, so a row that follows row n - 2 takes
-    that one step, must land on row n - 2's first row, and inherits its det
-    A'_n exactly (the step is invertible and has det 1).  Any other row, in
-    a contiguous range the lowest of each parity, runs the full descent.
+    (g_{n-1}, g_{n-3}), row n - 2's, so the first row steps down two rows
+    at a time until it meets a known row (rows 1 and 2, or one of the last
+    two rows) and must equal that row's first row.  In a contiguous range
+    the lowest row of each parity descends to its base row, and every row
+    above takes one step.
     """
-    below = {}  # n -> (replayed first row, det A'_n) of the last two rows
+    last_two = ()  # (n, replayed first row) of the last two rows
     for n in indices:
         if n < 1:
             raise ValueError("the wheel family starts at n = 1")
         first = _replay(_wheel_matrix(wheel_g(n + 1), wheel_g(n - 1)), n)
-        if n - 2 in below:
-            first_below, det_a_prime = below.pop(n - 2)
-            if _step(*first) != first_below:
-                raise InternalConsistencyError(
-                    f"Euclidean descent did not reach (1, 0) for n = {n}"
-                )
-        else:
-            det_a_prime = _descended_det(first, n)
-        below[n] = first, det_a_prime
+        known = {**_BASE_ROWS, **dict(last_two)}
+        row, m = first, n
+        while m not in known:
+            row, m = _step(*row), m - 2
+        if row != known[m]:
+            raise InternalConsistencyError(f"Euclidean descent did not reach (1, 0) for n = {n}")
+        last_two = (*last_two[-1:], (n, first))
+        # the steps have det 1 and N commutes with them, so A'_n shares its
+        # det with row m, and so with row 1 or row 2
+        det_a_prime = _DET_A_PRIME[n % 2]
         g = wheel_g(n)
         gens = (normalize_unit(g), normalize_unit(det_a_prime * g))
         yield WheelModule(normalize_unit(gens[0] * gens[1]), gens, det_a_prime)
@@ -261,8 +234,8 @@ def wheel_module(n: int) -> WheelModule:
 
     The ideal generators are (g, h) with g = g_n and h = det(A'_n) * g_n,
     both unit-normalized; det_a_prime is the exact determinant of
-    A'_n = A_n / (-g_n), 1 for odd n and 3 - t - t^{-1} for even n (that
-    of -A'_n, the same for a 2x2), read off the descent's unit factors; the
-    Alexander polynomial is the generators' normalized product.
+    A'_n = A_n / (-g_n) (that of -A'_n, the same for a 2x2), the det of row
+    1 or row 2 where the descent ends: 1 for odd n and 3 - t - t^{-1} for
+    even n; the Alexander polynomial is the generators' normalized product.
     """
     return next(wheel_modules(range(n, n + 1)))

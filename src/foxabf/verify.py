@@ -102,17 +102,20 @@ def recurrence_solver_check(max_n: int) -> IdentityCheck:
 
 def wheel_matrix_routes_check(max_n: int) -> IdentityCheck:
     """Recursive and closed wheel matrices agree entrywise for n <= max_n,
-    from one walk of the recursion, and for n <= 15 the closed determinant
-    matches the Burau route's.  That route multiplies out a new 2n-letter
-    word per n: run to n = 120 it would cost some 30 times the rest."""
+    from one walk of the recursion, and the closed determinant matches the
+    Burau route's, read off the running power B^n = B^{n-1} * B of
+    B = burau(sigma_1 sigma_2^{-1})."""
 
     def cases():
+        generator = burau(wheel_braid(1))
+        power = Matrix.identity(3, one=LaurentPoly.one())
         for n, recursive in enumerate(_wheel_recursion(max_n), 1):
+            power = power * generator
             closed = wheel_abf_matrix_closed(n)
             if recursive != closed:
                 yield f"n={n} (recursive != closed)", False
-            elif n <= 15 and normalize_unit(closed.det()) != normalize_unit(
-                reduced_relation_matrix(burau(wheel_braid(n)), 2).det()
+            elif normalize_unit(closed.det()) != normalize_unit(
+                reduced_relation_matrix(power, 2).det()
             ):
                 yield f"n={n} (closed det != burau det)", False
             else:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from foxabf import alexander, verify
+from foxabf import alexander, cli, verify
 from foxabf.alexander import (
     InternalConsistencyError,
     ModulePresentation,
@@ -19,7 +19,7 @@ from foxabf.braid import BraidWord, burau, parse_braid, reduced_relation_matrix,
 from foxabf.coloring import coloring_group
 from foxabf.ring import LaurentPoly, Matrix, divide_exact, normalize_unit, snf
 from foxabf.sequences import IdentityCheck, cheb_S_subst, fib
-from foxabf.wheel import fox_closed_form
+from foxabf.wheel import cross_verify, fox_closed_form
 
 T = LaurentPoly.t()
 TI = LaurentPoly.t(-1)
@@ -229,6 +229,33 @@ def test_routes_check_names_the_first_disagreement(monkeypatch):
     )
 
 
+def test_routes_check_compares_the_burau_det_for_every_n(monkeypatch):
+    # one reduced Burau matrix per n, from the running power B^n; a wrong
+    # one at n = 20 is named
+    original = verify.reduced_relation_matrix
+    calls = []
+
+    def corrupted(matrix, drop_index):
+        calls.append(matrix)
+        reduced = original(matrix, drop_index)
+        if len(calls) == 20:
+            (a, b), row = reduced.entries()
+            reduced = Matrix([[a + 1, b], row])
+        return reduced
+
+    monkeypatch.setattr(verify, "reduced_relation_matrix", lambda m, i: calls.append(m) or original(m, i))
+    assert verify.wheel_matrix_routes_check(30) == IdentityCheck("wheel_matrix_routes", 30)
+    assert calls == [burau(wheel_braid(n)) for n in range(1, 31)]
+    calls.clear()
+    monkeypatch.setattr(verify, "reduced_relation_matrix", corrupted)
+    check = verify.wheel_matrix_routes_check(30)
+    assert (check.passed, check.cases, check.counterexample) == (
+        False,
+        20,
+        "n=20 (closed det != burau det)",
+    )
+
+
 def test_closed_matrix_at_minus_one_presents_fox_group():
     for n in range(1, 13):
         specialized = Matrix(
@@ -296,9 +323,9 @@ def test_reduction_unknot():
 
 @pytest.mark.parametrize("n", [4, 9, 30])
 def test_descent_rejects_a_perturbed_g(n, monkeypatch):
-    # the descent runs a fixed number of recurrence steps, so a first row
-    # that is not a pair of consecutive Chebyshev values must not reach
-    # (1, 0); g_{n+1} off by 1 is such a row
+    # the descent steps the first row down to row 1 or row 2, so a first
+    # row that is not a pair of consecutive Chebyshev values must not land
+    # there; g_{n+1} off by 1 is such a row
     exact = alexander.wheel_g
     monkeypatch.setattr(alexander, "wheel_g", lambda m: exact(m) + (1 if m == n + 1 else 0))
     with pytest.raises(
@@ -328,22 +355,29 @@ def test_descent_rejects_a_second_row_that_is_not_the_first_times_n(n, column, m
         wheel_module(n)
 
 
-def two_row_descent(neg_aprime, n):
+def two_row_descent(neg_aprime, steps):
     """The descent as it ran on both rows of -A'_n: the column replay, then
-    n//2 - 1 steps col1, col2 <- col2, z*col2 - col1 on whole columns."""
+    ``steps`` steps col1, col2 <- col2, z*col2 - col1 on whole columns."""
     z = 1 - T - TI
     (p, q), (r, s) = neg_aprime.entries()
     col1, col2 = [-(p + q), -(r + s)], [q.shift(1), s.shift(1)]
-    for _ in range(n // 2 - 1):
+    for _ in range(steps):
         col1, col2 = col2, [z * b - a for a, b in zip(col1, col2)]
     return tuple(col1), tuple(col2)
 
 
 def test_one_row_descent_ends_where_the_two_row_descent_does():
+    # after (n - 1)//2 steps the first row is row 1's (odd n) or row 2's
+    # (even n), and the whole columns end at (base, base times N)
     for n in [*range(1, 61), 100, 171, 270]:
         neg_aprime = alexander._wheel_matrix(wheel_g(n + 1), wheel_g(n - 1))
-        first = alexander._replay(neg_aprime, n)
-        assert alexander._descend(first, n) == two_row_descent(neg_aprime, n), n
+        row, steps = alexander._replay(neg_aprime, n), (n - 1) // 2
+        for _ in range(steps):
+            row = alexander._step(*row)
+        base = alexander._BASE_ROWS[2 - n % 2]
+        assert row == base, n
+        times_n = alexander._times_n(*base)
+        assert two_row_descent(neg_aprime, steps) == tuple(zip(base, times_n)), n
 
 
 def test_det_a_prime_closed_forms_to_100():
@@ -366,23 +400,35 @@ def test_wheel_modules_descends_fully_when_the_row_two_below_is_missing(monkeypa
     steps = []
     exact = alexander._step
     monkeypatch.setattr(alexander, "_step", lambda *row: steps.append(row) or exact(*row))
+    # row 20 descends to row 2, row 22 steps onto row 20 and row 30 down to
+    # row 22, the last row known
     modules = list(alexander.wheel_modules([20, 22, 30]))
-    assert len(steps) == (20 // 2 - 1) + 1 + (30 // 2 - 1)
+    assert len(steps) == 9 + 1 + 4
     assert modules == [wheel_module(n) for n in (20, 22, 30)]
 
 
 @pytest.mark.parametrize("n", [1, 2, 5, 8])
 def test_descent_checks_its_det_against_the_closed_form(n, monkeypatch):
-    # a descent that reached (1, 0) but lost a unit factor is refused
-    exact = alexander._descend
-    monkeypatch.setattr(
-        alexander,
-        "_descend",
-        lambda first, m: tuple((x, -y) for x, y in exact(first, m)),
-    )
+    # the descent's det A'_n is its base row's; a wrong one is caught by the
+    # Bareiss det of the closed -A'_n alone, and the wheel request fails
+    monkeypatch.setattr(alexander, "_DET_A_PRIME", tuple(-d for d in alexander._DET_A_PRIME))
+    checks = cross_verify(n).checks
+    assert [c.name for c in checks if not c.passed] == ["bareiss_det_a_prime"]
+    assert cli.main(["wheel", str(n)]) == 1
+
+
+@pytest.mark.parametrize("n", [3, 9, 31])
+def test_descent_refuses_the_wrong_end_row(n, monkeypatch):
+    # a first row that n//2 - 1 steps take to (0, 1), not to row 1's
+    # (1, 0): one more step gives (1, z), so the descent misses row 1
+    z = 1 - T - TI
+    row = (LaurentPoly.zero(), ONE)
+    for _ in range(n // 2 - 1):
+        row = (z * row[0] - row[1], row[0])  # the inverse of one step
+    monkeypatch.setattr(alexander, "_replay", lambda neg_aprime, m: row)
     with pytest.raises(
         InternalConsistencyError,
-        match=fr"^Euclidean reduction of the wheel matrix lost the determinant at n = {n}$",
+        match=fr"^Euclidean descent did not reach \(1, 0\) for n = {n}$",
     ):
         wheel_module(n)
 

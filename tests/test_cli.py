@@ -287,7 +287,7 @@ def test_wheel_propagates_the_coloring_rule_once(capsys):
 
 
 def test_a_cold_wheel_request_jumps_to_its_chebyshev_values(capsys, monkeypatch):
-    # from cold sequences, the n//2 - 1 descent steps are the bulk of the
+    # from cold sequences, the (n - 1)//2 descent steps are the bulk of the
     # Laurent products: S_k near k = n/2 is reached by doubling, not by
     # n/2 recurrence steps, and no Laurent A_n is built
     cold = sequences._Chebyshev(ring.LaurentPoly.one(), sequences.Z_OF_T)
@@ -380,8 +380,8 @@ def test_verify_reports_failure(capsys, monkeypatch):
 )
 def test_failed_internal_check_is_named_on_one_stderr_line(argv, capsys, monkeypatch):
     # g_10 off by 1 leaves n = 9's first row off the Chebyshev pairs: from 8
-    # the full descent misses (1, 0), from 2 row 9's one step misses row 7's
-    # first row.  Only the Laurent g_10 is off; the integer one, at t = -1,
+    # row 9's descent misses row 1's first row, from 2 its one step misses
+    # row 7's.  Only the Laurent g_10 is off; the integer one, at t = -1,
     # is exact
     exact = alexander.wheel_g
     laurent = alexander._LAURENT
@@ -445,7 +445,7 @@ def test_table_descends_fully_only_the_lowest_row_of_each_parity(capsys, monkeyp
     steps = count_calls(monkeypatch, alexander, "_step")
     code, _ = run(["table", "--from", "102", "--to", "105"], capsys)
     assert code == 0
-    assert len(steps) == (102 // 2 - 1) + (103 // 2 - 1) + 2
+    assert len(steps) == 50 + 51 + 2
 
 
 @pytest.mark.parametrize("fmt", ["text", "json", "csv", "markdown"])
